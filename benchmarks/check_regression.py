@@ -12,6 +12,9 @@ falls more than ``--tolerance`` (default 30%) below its floor::
 
 Baselines are floors, not targets: they sit well under a typical dev
 machine so runner noise passes while a lost fast path fails loudly.
+A metric listed under ``_tolerances`` in the baseline file gets its own
+allowed fraction instead of ``--tolerance``: a deterministic figure
+(such as a simulated speedup) needs no room for runner noise.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ def flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
+def fmt(value: float) -> str:
+    """Throughputs as whole numbers, small ratios with two decimals."""
+    return f"{value:,.0f}" if abs(value) >= 100 else f"{value:,.2f}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -54,11 +62,14 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=0.30,
-        help="allowed fraction below the floor (default 0.30)",
+        help="allowed fraction below the floor for metrics without "
+        "their own entry in the baseline's _tolerances (default 0.30)",
     )
     args = parser.parse_args(argv)
 
-    baseline = flatten(json.loads(pathlib.Path(args.baseline).read_text()))
+    doc = json.loads(pathlib.Path(args.baseline).read_text())
+    baseline = flatten(doc)
+    tolerances = doc.get("_tolerances", {})
     measured: dict = {}
     for path in args.results:
         measured.update(flatten(json.loads(pathlib.Path(path).read_text())))
@@ -66,18 +77,20 @@ def main(argv=None) -> int:
     failures = []
     width = max(len(k) for k in baseline)
     for key, floor in sorted(baseline.items()):
-        minimum = floor * (1.0 - args.tolerance)
+        tolerance = tolerances.get(key, args.tolerance)
+        minimum = floor * (1.0 - tolerance)
         current = measured.get(key)
         if current is None:
             failures.append(key)
-            print(f"MISSING {key:<{width}} (floor {floor:,.0f})")
+            print(f"MISSING {key:<{width}} (floor {fmt(floor)})")
             continue
         status = "ok" if current >= minimum else "REGRESSED"
         if current < minimum:
             failures.append(key)
         print(
-            f"{status:>9} {key:<{width}} {current:>12,.0f} "
-            f"(floor {floor:,.0f}, minimum {minimum:,.0f})"
+            f"{status:>9} {key:<{width}} {fmt(current):>12} "
+            f"(floor {fmt(floor)}, minimum {fmt(minimum)}, "
+            f"tolerance {tolerance:.0%})"
         )
 
     if failures:

@@ -251,7 +251,9 @@ class ResilienceHooks:
                 result = yield from app_fn(ctx)
             except ABORT_EXCEPTIONS as exc:
                 self.abort_times.append(ctx.sim.now)
-                return ("aborted", exc)
+                # without its traceback: the frames would hold the
+                # machine in a reference cycle until a full gc pass
+                return ("aborted", exc.with_traceback(None))
             return ("ok", result)
 
         return wrapped

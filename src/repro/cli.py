@@ -546,9 +546,12 @@ def cmd_report(args) -> str:
         doc = _json.loads(pathlib.Path(args.file).read_text())
         return render_report(report_from_dict(doc))
 
-    results = pathlib.Path("benchmarks/_results")
-    if not results.is_dir():
-        # fall back to the repository the package was installed from
+    if getattr(args, "results", None) is not None:
+        results = pathlib.Path(args.results)
+        if not results.is_dir():
+            raise FileNotFoundError(f"no results directory {results}")
+    else:
+        # the repository the package was installed from, not the CWD
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         results = repo_root / "benchmarks" / "_results"
     if not results.is_dir():
@@ -1218,6 +1221,7 @@ def cmd_bench(args) -> str:
             if args.all
             else [
                 "benchmarks/test_events_per_sec.py",
+                "benchmarks/test_messages_per_sec.py",
                 "benchmarks/test_cache_lookup.py",
                 "benchmarks/test_journal_append.py",
                 "benchmarks/test_fleet_router.py",
@@ -1288,7 +1292,14 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="any schema-tagged report JSON — run, sweep, or tune "
-        "(omit to compose benchmarks/_results)",
+        "(omit to compose archived benchmark tables)",
+    )
+    rp.add_argument(
+        "--results",
+        metavar="DIR",
+        default=None,
+        help="directory of archived benchmark tables to compose "
+        "(default: benchmarks/_results of the source checkout)",
     )
     def add_backend_arg(sp) -> None:
         """The event-queue backend flag every run-shaped command takes."""

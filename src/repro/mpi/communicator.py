@@ -21,7 +21,7 @@ from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import CommError, RankError
 from .message import match
 from .request import Request
-from .runtime import GroupState, MPIProcess
+from .runtime import GroupState, MPIProcess, SendOp
 from .status import Status
 
 __all__ = ["Comm", "PersistentRequest", "SUM", "MAX", "MIN", "PROD"]
@@ -104,7 +104,8 @@ class Comm:
 
     @property
     def _my_proc(self) -> MPIProcess:
-        return self.group.proc(self._rank)
+        # the own rank is valid by construction: skip the range check
+        return self.group.procs[self._rank]
 
     def _peer_group(self) -> GroupState:
         return self.remote if self.remote is not None else self.group
@@ -152,11 +153,21 @@ class Comm:
         tag: int = 0,
         nbytes: Optional[int] = None,
     ) -> Request:
-        """Non-blocking send; returns a :class:`Request`."""
-        proc = self.runtime.sim.process(
-            self.send(payload, dest, tag=tag, nbytes=nbytes)
+        """Non-blocking send; returns a :class:`Request` over a
+        :class:`~repro.mpi.runtime.SendOp`.  ``dest`` is validated at
+        once."""
+        return self._isend_op(
+            self._peer_group().proc(dest), self._ctx_pt2pt, tag, payload, nbytes
         )
-        return Request(proc, "isend")
+
+    def _isend_op(
+        self, dst_proc, context_id, tag, payload, nbytes=None
+    ) -> Request:
+        op = SendOp(
+            self.runtime, self._my_proc, dst_proc, context_id, self._rank,
+            tag, payload, nbytes,
+        )
+        return Request(op, "isend")
 
     def irecv(
         self,
@@ -249,8 +260,7 @@ class Comm:
 
     def isend_internal(self, payload, dest, tag) -> Request:
         """Non-blocking send on the collective context (library use)."""
-        proc = self.runtime.sim.process(self._coll_send(payload, dest, tag))
-        return Request(proc, "isend")
+        return self._isend_op(self.group.proc(dest), self._ctx_coll, tag, payload)
 
     #: payload size above which bcast switches from the binomial tree
     #: to the bandwidth-optimal scatter + allgather (van de Geijn)

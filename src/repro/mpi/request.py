@@ -12,10 +12,12 @@ __all__ = ["Request", "waitall", "waitany"]
 class Request:
     """Handle for a pending non-blocking send or receive.
 
-    Wraps the simulation :class:`~repro.sim.Process` performing the
-    operation.  ``yield req.wait()`` suspends the caller until complete
-    and evaluates to the operation's result (the received payload for a
-    receive, ``None`` for a send).
+    Wraps the simulation event performing the operation: a
+    :class:`~repro.mpi.runtime.SendOp` for a send, a
+    :class:`~repro.sim.Process` otherwise.  ``yield req.wait()``
+    suspends the caller until complete and evaluates to the
+    operation's result (the received payload for a receive, ``None``
+    for a send).
     """
 
     __slots__ = ("process", "kind")

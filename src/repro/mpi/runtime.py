@@ -32,7 +32,7 @@ from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
 from ..sim import Process, Simulator, Store
-from ..sim.events import AnyOf
+from ..sim.events import PENDING, AnyOf, Event
 from .datatypes import payload_nbytes
 from .errors import (
     CommError,
@@ -43,7 +43,13 @@ from .errors import (
 )
 from .message import Envelope
 
-__all__ = ["MPIProcess", "GroupState", "MPIRuntime", "FaultTolerancePolicy"]
+__all__ = [
+    "MPIProcess",
+    "GroupState",
+    "MPIRuntime",
+    "FaultTolerancePolicy",
+    "SendOp",
+]
 
 
 @dataclass(frozen=True)
@@ -218,6 +224,123 @@ class RankContext:
         return self._parent
 
 
+class SendOp(Process):
+    """One non-blocking send, driven by callbacks instead of a generator.
+
+    The op is the event a :class:`~repro.mpi.request.Request` waits on.
+    Its start entry takes the queue position a send process's init
+    event would, and does the traffic accounting.  On an uncontended
+    route (:meth:`~repro.network.fabric.Fabric.acquire`) it occupies the
+    links and schedules one pooled wakeup at ``now + transfer_time``;
+    the wakeup releases the route (:meth:`Fabric.finish`) and deposits
+    the envelope.  Every other case (fast path disabled, same-node
+    copy, failed endpoint or missing route, contended route, a policy
+    with ``timeout_s``) resumes :meth:`MPIRuntime.transmit` as this
+    process's generator in place: the reference path, unchanged.
+
+    A successful op with no waiter yet is marked processed in place
+    rather than scheduled, so a later ``yield req.wait()`` continues at
+    once; an op with a waiter, and every failure, is scheduled as a
+    finished process would be.
+    """
+
+    __slots__ = (
+        "runtime", "src_proc", "dst_proc", "context_id", "source_rank",
+        "tag", "payload", "nbytes", "_rc", "_t0",
+    )
+
+    def __init__(
+        self,
+        runtime: "MPIRuntime",
+        src_proc: MPIProcess,
+        dst_proc: MPIProcess,
+        context_id: int,
+        source_rank: int,
+        tag: int,
+        payload: Any,
+        nbytes: Optional[int] = None,
+    ):
+        sim = runtime.sim
+        Event.__init__(self, sim)
+        self.generator = None
+        self._target = None
+        self._wakeup = None
+        self.runtime = runtime
+        self.src_proc = src_proc
+        self.dst_proc = dst_proc
+        self.context_id = context_id
+        self.source_rank = source_rank
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        start = Event(sim)
+        start._ok = True
+        start._value = None
+        start.callbacks.append(self._start)
+        sim._schedule(start)
+
+    def _start(self, event: Event) -> None:
+        rt = self.runtime
+        payload, nbytes = self.payload, self.nbytes
+        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        policy = rt.fault_tolerance
+        fast = None
+        if policy is None or policy.timeout_s is None:
+            fast = rt.fabric.acquire(
+                self.src_proc.node.node_id, self.dst_proc.node.node_id, n
+            )
+        if fast is None:
+            self.generator = rt.transmit(
+                self.src_proc, self.dst_proc, self.context_id,
+                self.source_rank, self.tag, payload, nbytes=n,
+            )
+            self.payload = None  # the generator owns it now
+            Process._resume(self, event)
+            return
+        rt._account(self.context_id, n)
+        self.nbytes = n
+        self._rc, duration = fast
+        sim = self.sim
+        self._t0 = sim._now
+        sim._schedule_wakeup(self, duration)
+
+    def _resume(self, event: Event) -> None:
+        # A finished op drops its pooled wakeup: that breaks the
+        # op <-> wakeup cycle, so the op (and the machine it references)
+        # is freed by refcount rather than by a full gc pass.
+        if self.generator is not None:
+            Process._resume(self, event)
+            if self._value is not PENDING:
+                self._wakeup = None
+            return
+        # the transfer's wakeup: release the route, deliver
+        self._wakeup = None
+        n = self.nbytes
+        self.runtime.fabric.finish(
+            self._rc, self.src_proc.node.node_id, self.dst_proc.node.node_id,
+            n, self._t0,
+        )
+        env = Envelope(
+            self.context_id, self.source_rank, self.tag, n, self.payload
+        )
+        self.payload = None  # a finished request must not pin the data
+        mailbox = self.dst_proc.mailbox
+        if mailbox.offer(env):
+            self._complete()
+        else:
+            # a full bounded mailbox: complete once a receiver drains it
+            mailbox.put(env).callbacks.append(self._complete)
+
+    def _complete(self, _event: Optional[Event] = None) -> None:
+        if self.callbacks:
+            self.succeed()
+        else:
+            # nobody waits yet: processed in place, no queue entry
+            self._ok = True
+            self._value = None
+            self.callbacks = None
+
+
 class MPIRuntime:
     """Factory and transport for simulated MPI jobs on one machine."""
 
@@ -309,9 +432,7 @@ class MPIRuntime:
         — a restored link or rebooted peer lets the retry reroute.
         """
         n = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        stats = self.traffic.setdefault(context_id, [0, 0])
-        stats[0] += 1
-        stats[1] += n
+        self._account(context_id, n)
         if self.fault_tolerance is None:
             yield from self.fabric.transfer(
                 src_proc.node.node_id, dst_proc.node.node_id, n
@@ -320,20 +441,19 @@ class MPIRuntime:
             yield from self._transfer_with_retries(
                 src_proc.node.node_id, dst_proc.node.node_id, n
             )
-        put_ev = dst_proc.mailbox.put(
-            Envelope(
-                context_id=context_id,
-                source=source_rank,
-                tag=tag,
-                nbytes=n,
-                payload=payload,
-            )
-        )
-        if not put_ev.triggered:
-            # Only a bounded mailbox exerts back-pressure; the common
-            # (unbounded) case delivered synchronously — skip the
-            # zero-delay queue round trip.
-            yield put_ev
+        env = Envelope(context_id, source_rank, tag, n, payload)
+        mailbox = dst_proc.mailbox
+        if not mailbox.offer(env):
+            # only a full bounded mailbox exerts back-pressure
+            yield mailbox.put(env)
+
+    def _account(self, context_id: int, nbytes: int) -> None:
+        """Per-context traffic accounting of one message."""
+        stats = self.traffic.get(context_id)
+        if stats is None:
+            stats = self.traffic[context_id] = [0, 0]
+        stats[0] += 1
+        stats[1] += nbytes
 
     def _transfer_once(self, src_id: str, dst_id: str, nbytes: int) -> Generator:
         """One transfer attempt, optionally bounded by the policy timeout."""

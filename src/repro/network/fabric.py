@@ -93,7 +93,9 @@ class Fabric:
 
     * **fast path** — when every link of the route is uncontended, link
       occupancy is bumped directly (no ``Request`` events) and the whole
-      transfer is a single pooled bare-delay yield;
+      transfer is a single pooled bare-delay yield.  Its two halves,
+      :meth:`acquire` and :meth:`finish`, are public so the MPI send op
+      can drive a transfer from callbacks without a generator;
     * **slow path** — the moment any link is busy, the transfer falls
       back to per-link FIFO ``Resource.request()``/``release()`` (with
       ``Request`` objects recycled through a pool).
@@ -248,7 +250,18 @@ class Fabric:
         if nbytes < 0:
             raise ValueError("negative message size")
         src_node, dst_node = self._nodes[src], self._nodes[dst]
-        rc = self.route_cost(src, dst)
+        return self._message_time(
+            src_node, dst_node, self.route_cost(src, dst), nbytes, rdma
+        )
+
+    def _message_time(
+        self,
+        src_node: Node,
+        dst_node: Node,
+        rc: _RouteCost,
+        nbytes: int,
+        rdma: bool,
+    ) -> float:
         if rdma:
             # Remote DMA: no software processing on the remote side.
             return (
@@ -268,6 +281,79 @@ class Fabric:
         return t
 
     # -- simulated transfer (with contention) -------------------------------
+    def acquire(
+        self, src: str, dst: str, nbytes: int, rdma: bool = False
+    ) -> Optional[Tuple[_RouteCost, float]]:
+        """Fast-path acquire step: occupy an idle route without events.
+
+        When the fast path is enabled, both endpoints are alive, a route
+        exists and every link on it is idle with nobody queueing, the
+        links are occupied (atomically in simulated time, so a
+        same-time rival sees them busy and it cannot deadlock),
+        ``fast_transfers`` is bumped, and ``(route_cost, duration)`` is
+        returned.  The caller must hand the route back through
+        :meth:`finish` after ``duration`` seconds.
+
+        Returns ``None``, occupying and counting nothing, in every other
+        case: the fast path is disabled, a same-node copy, a failed
+        endpoint, no route, a negative size, or a busy link.
+        :meth:`transfer` then takes the FIFO slow path or raises the
+        matching error.
+        """
+        if not self.fast_path_enabled or src == dst or nbytes < 0:
+            return None
+        nodes = self._nodes
+        src_node = nodes.get(src)
+        dst_node = nodes.get(dst)
+        if (
+            src_node is None
+            or dst_node is None
+            or src_node.failed
+            or dst_node.failed
+        ):
+            return None
+        try:
+            rc = self.route_cost(src, dst)
+        except nx.NetworkXException:
+            return None
+        resources = rc.resources
+        for r in resources:
+            if r._in_use >= r.capacity or r._waiting:
+                return None
+        for r in resources:
+            r._in_use += 1
+        self.fast_transfers += 1
+        return rc, self._message_time(src_node, dst_node, rc, nbytes, rdma)
+
+    def finish(
+        self, rc: _RouteCost, src: str, dst: str, nbytes: int, t0: float
+    ) -> None:
+        """Fast-path finish step: release the route :meth:`acquire`
+        occupied (waking any waiter queued behind it) and account the
+        delivered message."""
+        for r in rc.resources:
+            r.release_slot()
+        self._record(rc, src, dst, nbytes, t0)
+
+    def _record(
+        self, rc: _RouteCost, src: str, dst: str, nbytes: int, t0: float
+    ) -> None:
+        """Per-link and fabric counters (plus the tracer interval) of
+        one delivered message; shared by both paths."""
+        for link in rc.links:
+            link.bytes_carried += nbytes
+            link.messages_carried += 1
+        if self.tracer is not None:
+            for link in rc.links:
+                self.tracer.record(
+                    f"{link.key[0]}<->{link.key[1]}",
+                    f"{src}->{dst}",
+                    t0,
+                    self.sim.now,
+                )
+        self.bytes_transferred += nbytes
+        self.messages_transferred += 1
+
     def transfer(
         self,
         src: str,
@@ -281,7 +367,7 @@ class Fabric:
         prevents deadlock) for the serialization time, so concurrent
         messages crossing a shared link queue behind each other.  When
         the whole route is idle the acquisition skips the event
-        machinery entirely (see the class docstring).
+        machinery entirely (:meth:`acquire` / :meth:`finish`).
 
         Both paths suspend through pooled bare-delay yields (the
         simulator's allocation-free wakeup fast path), so co-temporal
@@ -292,6 +378,21 @@ class Fabric:
         Transfers touching a failed node raise :class:`NodeFailedError`
         (the NIC stops responding with its host).
         """
+        fast = self.acquire(src, dst, nbytes, rdma)
+        if fast is not None:
+            rc, duration = fast
+            t0 = self.sim.now
+            try:
+                yield duration
+            except BaseException:
+                # interrupted (fault injection): free the links, no
+                # delivery to account
+                for r in rc.resources:
+                    r.release_slot()
+                raise
+            self.finish(rc, src, dst, nbytes, t0)
+            return
+
         for endpoint in (src, dst):
             node = self._nodes.get(endpoint)
             if node is not None and node.failed:
@@ -307,62 +408,30 @@ class Fabric:
 
         duration = self.transfer_time(src, dst, nbytes, rdma=rdma)
         rc = self.route_cost(src, dst)
-        resources = rc.resources
-
-        if self.fast_path_enabled and all(
-            r._in_use < r.capacity and not r._waiting for r in resources
-        ):
-            # Fast path: the route is uncontended — occupy every link
-            # without Request events, one pooled bare-delay yield.
-            # Acquisition is atomic in simulated time (no yields between
-            # the check and the bumps), so it cannot deadlock and any
-            # same-time rival correctly sees the links busy.
-            for r in resources:
-                r._in_use += 1
-            self.fast_transfers += 1
+        # Slow path (contended route, or the fast path disabled):
+        # FIFO-fair queueing on every busy link, with Request objects
+        # recycled through a pool.
+        self.slow_transfers += 1
+        pool = self._request_pool
+        requests = []
+        # acquisition sits inside the try: an interrupt (fault
+        # injection) while queueing on link k must release the k links
+        # already granted, or they stay occupied forever
+        try:
+            for (link, _fwd), resource in zip(rc.directed, rc.resources):
+                t_wait = self.sim.now
+                req = resource.request(pool.pop() if pool else None)
+                yield req
+                link.stall_time_s += self.sim.now - t_wait
+                requests.append((resource, req))
             t0 = self.sim.now
-            try:
-                yield duration
-            finally:
-                for r in resources:
-                    r.release_slot()
-        else:
-            # Slow path: FIFO-fair queueing on every busy link, with
-            # Request objects recycled through a pool.
-            self.slow_transfers += 1
-            pool = self._request_pool
-            requests = []
-            # acquisition sits inside the try: an interrupt (fault
-            # injection) while queueing on link k must release the k
-            # links already granted, or they stay occupied forever
-            try:
-                for (link, _fwd), resource in zip(rc.directed, resources):
-                    t_wait = self.sim.now
-                    req = resource.request(pool.pop() if pool else None)
-                    yield req
-                    link.stall_time_s += self.sim.now - t_wait
-                    requests.append((resource, req))
-                t0 = self.sim.now
-                yield duration
-            finally:
-                for resource, req in requests:
-                    resource.release(req)
-                    if req.processed and not req.abandoned:
-                        pool.append(req)
-
-        for link in rc.links:
-            link.bytes_carried += nbytes
-            link.messages_carried += 1
-        if self.tracer is not None:
-            for link in rc.links:
-                self.tracer.record(
-                    f"{link.key[0]}<->{link.key[1]}",
-                    f"{src}->{dst}",
-                    t0,
-                    self.sim.now,
-                )
-        self.bytes_transferred += nbytes
-        self.messages_transferred += 1
+            yield duration
+        finally:
+            for resource, req in requests:
+                resource.release(req)
+                if req.processed and not req.abandoned:
+                    pool.append(req)
+        self._record(rc, src, dst, nbytes, t0)
 
     # -- convenience --------------------------------------------------------
     def latency(self, src: str, dst: str) -> float:

@@ -171,6 +171,18 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
+    def offer(self, item: Any) -> bool:
+        """Insert an item at once, without an event, if there is room.
+
+        Returns ``False`` (inserting nothing) when a bounded store is
+        full; the caller then waits on :meth:`put` for back-pressure.
+        An unbounded store always accepts.
+        """
+        if len(self.items) < self.capacity:
+            self._insert(item)
+            return True
+        return False
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Event yielding the next (optionally filtered) item."""
         ev = Event(self.sim)
@@ -223,25 +235,32 @@ class Store:
 
     def _insert(self, item: Any) -> None:
         # Watchers observe without consuming.
-        kept = deque()
-        for ev, flt in self._watchers:
-            if ev.abandoned:
-                continue
-            if flt is None or flt(item):
-                ev.succeed(item)
-            else:
-                kept.append((ev, flt))
-        self._watchers = kept
+        if self._watchers:
+            kept = deque()
+            for ev, flt in self._watchers:
+                if ev.abandoned:
+                    continue
+                if flt is None or flt(item):
+                    ev.succeed(item)
+                else:
+                    kept.append((ev, flt))
+            self._watchers = kept
         # Try to satisfy a waiting getter directly; interrupted waiters
-        # are dropped so they cannot swallow items meant for others.
-        self._getters = deque(
-            (ev, flt) for ev, flt in self._getters if not ev.abandoned
-        )
-        for i, (ev, flt) in enumerate(self._getters):
-            if flt is None or flt(item):
-                del self._getters[i]
-                ev.succeed(item)
-                return
+        # are dropped so they cannot swallow items meant for others
+        # (the queue is only rebuilt when one is present).
+        getters = self._getters
+        if getters:
+            for ev, _flt in getters:
+                if ev.abandoned:
+                    getters = self._getters = deque(
+                        (ev, flt) for ev, flt in getters if not ev.abandoned
+                    )
+                    break
+            for i, (ev, flt) in enumerate(getters):
+                if flt is None or flt(item):
+                    del getters[i]
+                    ev.succeed(item)
+                    return
         self.items.append(item)
 
     def _drain_putters(self) -> None:

@@ -44,11 +44,20 @@ def test_steps_flag_parsing():
     assert args.steps == 123
 
 
-def test_report_command(capsys):
-    assert main(["report"]) == 0
+def test_report_command(tmp_path, capsys):
+    (tmp_path / "fig7.txt").write_text("fig7 table\n")
+    (tmp_path / "table1.txt").write_text("table1 table\n")
+    assert main(["report", "--results", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "# Benchmark results" in out
     assert "table1" in out and "fig7" in out
+    # archived tables compose in paper order, not file-name order
+    assert out.index("## table1") < out.index("## fig7")
+
+
+def test_report_command_rejects_missing_results_dir(tmp_path, capsys):
+    assert main(["report", "--results", str(tmp_path / "nope")]) == 2
+    assert "error: no results directory" in capsys.readouterr().err
 
 
 def test_run_command(capsys):
