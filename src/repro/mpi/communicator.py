@@ -139,9 +139,7 @@ class Comm:
         """Blocking receive; returns the payload."""
         if source != ANY_SOURCE:
             self._peer_group().proc(source)  # validate rank
-        env = yield self._my_proc.mailbox.get(
-            match(self._ctx_pt2pt, source, tag)
-        )
+        env = yield self._park(self._ctx_pt2pt, source, tag)
         if status is not None:
             status._set(env.source, env.tag, env.nbytes)
         return env.payload
@@ -156,18 +154,32 @@ class Comm:
         """Non-blocking send; returns a :class:`Request` over a
         :class:`~repro.mpi.runtime.SendOp`.  ``dest`` is validated at
         once."""
-        return self._isend_op(
-            self._peer_group().proc(dest), self._ctx_pt2pt, tag, payload, nbytes
+        return Request(
+            self._send_op(
+                self._peer_group().proc(dest), self._ctx_pt2pt, tag, payload,
+                nbytes,
+            ),
+            "isend",
         )
 
-    def _isend_op(
-        self, dst_proc, context_id, tag, payload, nbytes=None
-    ) -> Request:
-        op = SendOp(
-            self.runtime, self._my_proc, dst_proc, context_id, self._rank,
-            tag, payload, nbytes,
+    def _send_op(self, dst_proc, context_id, tag, payload, nbytes=None) -> SendOp:
+        return SendOp(
+            self.group.runtime, self._my_proc, dst_proc, context_id,
+            self._rank, tag, payload, nbytes,
         )
-        return Request(op, "isend")
+
+    def _park(self, context_id, source, tag):
+        """Park the running process on this rank's mailbox for the next
+        matching envelope: ``env = yield self._park(...)``.
+
+        The matching receive of ``recv``, ``sendrecv`` and the
+        collectives: no event, the process's pooled wakeup waits in the
+        mailbox (:meth:`~repro.sim.Store.park`).
+        """
+        mailbox = self._my_proc.mailbox
+        return mailbox.park(
+            mailbox.sim._active_process, match(context_id, source, tag)
+        )
 
     def irecv(
         self,
@@ -212,10 +224,15 @@ class Comm:
         nbytes: Optional[int] = None,
     ) -> Generator:
         """Simultaneous send and receive (deadlock-free exchange)."""
-        req = self.isend(payload, dest, tag=sendtag, nbytes=nbytes)
-        data = yield from self.recv(source=source, tag=recvtag)
-        yield req.wait()
-        return data
+        peers = self._peer_group()
+        op = self._send_op(
+            peers.proc(dest), self._ctx_pt2pt, sendtag, payload, nbytes
+        )
+        if source != ANY_SOURCE:
+            peers.proc(source)  # validate rank
+        env = yield self._park(self._ctx_pt2pt, source, recvtag)
+        yield op
+        return env.payload
 
     # -- collective helpers ----------------------------------------------
     def _coll_send(self, payload, dest, tag, nbytes=None) -> Generator:
@@ -231,9 +248,7 @@ class Comm:
         )
 
     def _coll_recv(self, source, tag) -> Generator:
-        env = yield self._my_proc.mailbox.get(
-            match(self._ctx_coll, source, tag)
-        )
+        env = yield self._park(self._ctx_coll, source, tag)
         return env.payload
 
     def _next_coll_tag(self) -> int:
@@ -260,7 +275,10 @@ class Comm:
 
     def isend_internal(self, payload, dest, tag) -> Request:
         """Non-blocking send on the collective context (library use)."""
-        return self._isend_op(self.group.proc(dest), self._ctx_coll, tag, payload)
+        return Request(
+            self._send_op(self.group.proc(dest), self._ctx_coll, tag, payload),
+            "isend",
+        )
 
     #: payload size above which bcast switches from the binomial tree
     #: to the bandwidth-optimal scatter + allgather (van de Geijn)
@@ -378,11 +396,13 @@ class Comm:
             tag = self._next_coll_tag()
             acc = value
             mask = 1
+            procs = self.group.procs
             while mask < size:
                 partner = rank ^ mask
-                req = self.isend_internal(acc, partner, tag)
-                other = yield from self._coll_recv(partner, tag)
-                yield req.wait()
+                send = self._send_op(procs[partner], self._ctx_coll, tag, acc)
+                env = yield self._park(self._ctx_coll, partner, tag)
+                yield send
+                other = env.payload
                 # Keep op application order rank-independent.
                 acc = op(acc, other) if rank < partner else op(other, acc)
                 mask <<= 1
@@ -402,9 +422,7 @@ class Comm:
             out: List[Any] = [None] * size
             out[root] = value
             for _ in range(size - 1):
-                env = yield self._my_proc.mailbox.get(
-                    match(self._ctx_coll, ANY_SOURCE, tag)
-                )
+                env = yield self._park(self._ctx_coll, ANY_SOURCE, tag)
                 out[env.source] = env.payload
             return out
         yield from self._coll_send(value, root, tag)

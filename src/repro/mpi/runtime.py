@@ -32,7 +32,7 @@ from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
 from ..sim import Process, Simulator, Store
-from ..sim.events import PENDING, AnyOf, Event
+from ..sim.events import PENDING, AnyOf, Event, _Wakeup
 from .datatypes import payload_nbytes
 from .errors import (
     CommError,
@@ -227,26 +227,33 @@ class RankContext:
 class SendOp(Process):
     """One non-blocking send, driven by callbacks instead of a generator.
 
-    The op is the event a :class:`~repro.mpi.request.Request` waits on.
-    Its start entry takes the queue position a send process's init
-    event would, and does the traffic accounting.  On an uncontended
-    route (:meth:`~repro.network.fabric.Fabric.acquire`) it occupies the
-    links and schedules one pooled wakeup at ``now + transfer_time``;
-    the wakeup releases the route (:meth:`Fabric.finish`) and deposits
-    the envelope.  Every other case (fast path disabled, same-node
-    copy, failed endpoint or missing route, contended route, a policy
-    with ``timeout_s``) resumes :meth:`MPIRuntime.transmit` as this
-    process's generator in place: the reference path, unchanged.
+    The op is the event a :class:`~repro.mpi.request.Request` (or
+    ``sendrecv``/``allreduce`` directly) waits on.  Every step of an
+    uncontended send is the op's own pooled wakeup, and ``_resume``
+    picks the step from ``_phase``:
 
-    A successful op with no waiter yet is marked processed in place
-    rather than scheduled, so a later ``yield req.wait()`` continues at
-    once; an op with a waiter, and every failure, is scheduled as a
-    finished process would be.
+    * *start* — scheduled at creation, in the queue position a send
+      process's init event would take.  It does the traffic accounting
+      and asks :meth:`~repro.network.fabric.Fabric.acquire` for an idle
+      route, which it occupies for ``transfer_time``.
+    * *transfer* — at ``now + transfer_time``: releases the route
+      (:meth:`Fabric.finish`) and deposits the envelope in the
+      receiver's mailbox.
+    * *completion* — only when a process already waits on the op: it
+      takes the slot ``succeed()`` would and runs the op's callbacks.
+
+    A successful op with no waiter yet is marked processed in place, so
+    a later ``yield req.wait()`` continues at once.  Every other case
+    (fast path disabled, same-node copy, failed endpoint or missing
+    route, contended route, a policy with ``timeout_s``) resumes
+    :meth:`MPIRuntime.transmit` as this process's generator in place:
+    the reference path, unchanged, whose completion and failures are
+    scheduled as a finished process's are.
     """
 
     __slots__ = (
         "runtime", "src_proc", "dst_proc", "context_id", "source_rank",
-        "tag", "payload", "nbytes", "_rc", "_t0",
+        "tag", "payload", "nbytes", "_rc", "_t0", "_phase",
     )
 
     def __init__(
@@ -264,7 +271,6 @@ class SendOp(Process):
         Event.__init__(self, sim)
         self.generator = None
         self._target = None
-        self._wakeup = None
         self.runtime = runtime
         self.src_proc = src_proc
         self.dst_proc = dst_proc
@@ -273,13 +279,38 @@ class SendOp(Process):
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
-        start = Event(sim)
-        start._ok = True
-        start._value = None
-        start.callbacks.append(self._start)
-        sim._schedule(start)
+        self._phase = _START
+        self._wakeup = _Wakeup(self)
+        sim._wake(self._wakeup)
 
-    def _start(self, event: Event) -> None:
+    def _resume(self, event) -> None:
+        if self.generator is None:
+            phase = self._phase
+            if phase == _TRANSFER:
+                self._deliver()
+                return
+            if phase == _START:
+                if self._start():
+                    return
+            else:
+                # the waited completion: what dispatching succeed()'s
+                # event would do
+                self._wakeup = None
+                callbacks = self.callbacks
+                self.callbacks = None
+                for cb in callbacks:
+                    cb(self)
+                return
+        Process._resume(self, event)
+        # A finished op drops its pooled wakeup: that breaks the
+        # op <-> wakeup cycle, so the op (and the machine it references)
+        # is freed by refcount rather than by a full gc pass.
+        if self._value is not PENDING:
+            self._wakeup = None
+
+    def _start(self) -> bool:
+        """Take the uncontended fast path, or set up the reference
+        generator (returns ``False``) for ``_resume`` to run."""
         rt = self.runtime
         payload, nbytes = self.payload, self.nbytes
         n = payload_nbytes(payload) if nbytes is None else int(nbytes)
@@ -295,26 +326,18 @@ class SendOp(Process):
                 self.source_rank, self.tag, payload, nbytes=n,
             )
             self.payload = None  # the generator owns it now
-            Process._resume(self, event)
-            return
+            return False
         rt._account(self.context_id, n)
         self.nbytes = n
         self._rc, duration = fast
         sim = self.sim
         self._t0 = sim._now
+        self._phase = _TRANSFER
         sim._schedule_wakeup(self, duration)
+        return True
 
-    def _resume(self, event: Event) -> None:
-        # A finished op drops its pooled wakeup: that breaks the
-        # op <-> wakeup cycle, so the op (and the machine it references)
-        # is freed by refcount rather than by a full gc pass.
-        if self.generator is not None:
-            Process._resume(self, event)
-            if self._value is not PENDING:
-                self._wakeup = None
-            return
-        # the transfer's wakeup: release the route, deliver
-        self._wakeup = None
+    def _deliver(self) -> None:
+        """The transfer's wakeup: release the route, deliver."""
         n = self.nbytes
         self.runtime.fabric.finish(
             self._rc, self.src_proc.node.node_id, self.dst_proc.node.node_id,
@@ -332,13 +355,20 @@ class SendOp(Process):
             mailbox.put(env).callbacks.append(self._complete)
 
     def _complete(self, _event: Optional[Event] = None) -> None:
+        self._ok = True
+        self._value = None
         if self.callbacks:
-            self.succeed()
+            # a waiter: the completion step takes succeed()'s queue slot
+            self._phase = _DONE
+            self.sim._wake(self._wakeup)
         else:
             # nobody waits yet: processed in place, no queue entry
-            self._ok = True
-            self._value = None
             self.callbacks = None
+            self._wakeup = None
+
+
+#: :class:`SendOp` steps (see its ``_phase``)
+_START, _TRANSFER, _DONE = 0, 1, 2
 
 
 class MPIRuntime:

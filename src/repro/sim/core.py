@@ -7,7 +7,9 @@ amortizes heap churn over co-temporal events).  The run loop is
 batch-oriented: every event scheduled at the next timestamp is dequeued
 in one ``pop_batch`` and dispatched back-to-back, which both backends
 order identically (ascending time, FIFO among equal times), so a run is
-event-for-event and timestamp-identical regardless of backend.
+event-for-event and timestamp-identical regardless of backend.  Entries
+due at the current time bypass the backend through the same-time lane
+(see :class:`Simulator`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Any, Generator, Optional
 
-from .events import WAKE_OK, Event, Timeout, _Wakeup
+from .events import Event, Timeout, _Wakeup
 from .process import Process
 from .queues import EmptyQueue, make_queue
 
@@ -38,6 +40,13 @@ class Simulator:
     bit-identical: same event order, same timestamps, same results —
     only the host-side throughput differs.
 
+    Entries scheduled for the current time skip the backend: they go to
+    a plain list, the *same-time lane*, which the run loop hands out as
+    the next batch before it asks the backend.  Once the batch at time
+    T is popped the backend holds nothing at T, so every later entry at
+    T is in the lane in insertion order — exactly the order the backend
+    would produce.
+
     Typical use::
 
         sim = Simulator()                      # or backend="calendar"
@@ -56,16 +65,18 @@ class Simulator:
         self._queue = make_queue(backend)
         #: resolved name of the event-queue backend in use
         self.backend: str = self._queue.name
+        # the same-time lane: entries scheduled at exactly ``_now``
+        self._lane: list = []
         # batch in flight: entries popped by step() but not yet
         # delivered (plus the tail of a batch a StopSimulation cut
-        # short); _draining mirrors its length so depth accounting on
-        # the push path is one attribute read
+        # short); _draining counts the undelivered entries of the batch
+        # being dispatched, so depth accounting is one attribute read
         self._pending: list = []
-        self._pending_when = self._now
         self._draining = 0
         self._active_process: Optional[Process] = None
         self.events_processed = 0
-        #: events that took the allocation-free timeout fast path
+        #: events delivered as pooled wakeups (bare-number timeouts,
+        #: parked receives, MPI send-op steps) rather than as Events
         self.fast_wakeups = 0
         #: batches dequeued (every pop_batch, singletons included)
         self.batches = 0
@@ -74,7 +85,7 @@ class Simulator:
         # histogram of multi-event batch sizes, keyed by bit_length
         # (size 1 is implicit: batches - sum of these counts)
         self._batch_hist: dict = {}
-        #: high-water mark of the event queue (queued + in-flight batch)
+        #: high-water mark of the event queue (queued + lane + in-flight)
         self.peak_queue_depth = 0
         #: accumulated real (host) time spent inside :meth:`run`
         self.wall_time_s = 0.0
@@ -91,12 +102,18 @@ class Simulator:
         return self._active_process
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event, delay: float = 0.0) -> None:
+        """Queue ``event`` (an Event or a pooled wakeup) ``delay`` from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
+        now = self._now
+        when = now + delay
         q = self._queue
-        q.push(self._now + delay, event)
-        depth = q.count + self._draining
+        if when == now:
+            self._lane.append(event)
+        else:
+            q.push(when, event)
+        depth = q.count + len(self._lane) + self._draining
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
 
@@ -105,8 +122,8 @@ class Simulator:
         allocating an Event (used when a process yields a bare number).
 
         The per-process :class:`_Wakeup` is reused between waits; a
-        fresh one is only allocated if the old one is still queued
-        (i.e. was cancelled by an interrupt and not yet popped).
+        fresh one is only allocated if the old one is still held (queued
+        after an interrupt cancelled it, or parked in a store).
         """
         wakeup = process._wakeup
         if wakeup is None or wakeup.pending:
@@ -114,9 +131,25 @@ class Simulator:
             process._wakeup = wakeup
         wakeup.pending = True
         wakeup.cancelled = False
+        now = self._now
+        when = now + delay
         q = self._queue
-        q.push(self._now + delay, wakeup)
-        depth = q.count + self._draining
+        if when == now:
+            self._lane.append(wakeup)
+        else:
+            q.push(when, wakeup)
+        depth = q.count + len(self._lane) + self._draining
+        if depth > self.peak_queue_depth:
+            self.peak_queue_depth = depth
+
+    def _wake(self, wakeup: _Wakeup, value: Any = None) -> None:
+        """Schedule ``wakeup`` at the current time; its process resumes
+        with ``value``."""
+        wakeup.pending = True
+        wakeup._value = value
+        lane = self._lane
+        lane.append(wakeup)
+        depth = self._queue.count + len(lane) + self._draining
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
 
@@ -125,8 +158,11 @@ class Simulator:
         if when < self._now:
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
         q = self._queue
-        q.push(when, event)
-        depth = q.count + self._draining
+        if when == self._now:
+            self._lane.append(event)
+        else:
+            q.push(when, event)
+        depth = q.count + len(self._lane) + self._draining
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
 
@@ -149,8 +185,8 @@ class Simulator:
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
-        """Entries still owed to the run loop (queued + in-flight)."""
-        return self._queue.count + self._draining
+        """Entries still owed to the run loop (queued + lane + in-flight)."""
+        return self._queue.count + len(self._lane) + self._draining
 
     def queue_stats(self) -> dict:
         """Backend-specific queue occupancy figures (see the backend's
@@ -176,16 +212,23 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event.
 
-        Raises :class:`EmptyQueue` (an :class:`IndexError`) when the
-        simulation is idle.
+        That is the current time while entries of the batch being
+        dispatched, or of the same-time lane, remain.  Raises
+        :class:`EmptyQueue` (an :class:`IndexError`) when the simulation
+        is idle.
         """
-        if self._draining:
-            return self._pending_when
+        if self._draining or self._lane:
+            return self._now
         return self._queue.peek()
 
     def _pop_batch(self):
-        """Dequeue the next timestamp's batch, updating batch metrics."""
-        when, batch = self._queue.pop_batch()
+        """Dequeue the next batch (the lane first, else the backend's
+        next timestamp), advancing the clock and the batch metrics."""
+        batch = self._lane
+        if batch:
+            self._lane = []
+        else:
+            self._now, batch = self._queue.pop_batch()
         n = len(batch)
         self.batches += 1
         if n > 1:
@@ -196,15 +239,17 @@ class Simulator:
                 self.max_batch = n
         elif not self.max_batch:
             self.max_batch = 1
-        return when, batch
+        return batch
 
     def _dispatch(self, entry) -> None:
-        """Deliver one dequeued entry (wakeup fast path or callbacks)."""
+        """Deliver one dequeued entry (pooled wakeup or callbacks)."""
         if entry.__class__ is _Wakeup:
             entry.pending = False
-            if not entry.cancelled:
+            if entry.cancelled:
+                entry._value = None
+            else:
                 self.fast_wakeups += 1
-                entry.process._resume(WAKE_OK)
+                entry.process._resume(entry)
             return
         callbacks = entry.callbacks
         entry.callbacks = None  # mark processed
@@ -224,11 +269,9 @@ class Simulator:
         """
         pending = self._pending
         if not pending:
-            when, batch = self._pop_batch()
-            self._pending_when = when
+            batch = self._pop_batch()
             pending.extend(batch)
             self._draining = len(batch)
-        self._now = self._pending_when
         entry = pending.pop(0)
         self._draining -= 1
         self.events_processed += 1
@@ -244,11 +287,9 @@ class Simulator:
         """
         pending = self._pending
         if not pending:
-            when, batch = self._pop_batch()
-            self._pending_when = when
+            batch = self._pop_batch()
             pending.extend(batch)
             self._draining = len(batch)
-        self._now = self._pending_when
         done = 0
         while pending:
             entry = pending.pop(0)
@@ -277,11 +318,11 @@ class Simulator:
             self.wall_time_s += time.perf_counter() - t0  # wall-clock-ok: host-side telemetry only
 
     def _run_loop(self) -> None:
-        """The hot loop: dequeue one timestamp batch, deliver its events.
+        """The hot loop: dequeue one batch, deliver its events.
 
         Everything dispatch needs is bound to locals; the per-event work
         for a pooled wakeup is the class check, two flag writes, and the
-        generator resume.  A mid-batch exception (including the
+        process's resume.  A mid-batch exception (including the
         ``StopSimulation`` a ``run(until=...)`` stopper raises) stashes
         the undelivered tail in ``_pending`` so queue state stays exact.
         """
@@ -291,17 +332,15 @@ class Simulator:
         while True:
             if pending:
                 # tail of a batch a step()/stop cut short: finish it
-                self._now = self._pending_when
                 while pending:
                     entry = pending.pop(0)
                     self._draining -= 1
                     self.events_processed += 1
                     self._dispatch(entry)
             try:
-                when, batch = pop_batch()
+                batch = pop_batch()
             except EmptyQueue:
                 return
-            self._now = when
             n = len(batch)
             self.events_processed += n
             fast = 0
@@ -309,9 +348,11 @@ class Simulator:
                 entry = batch[0]
                 if entry.__class__ is hist_cls:
                     entry.pending = False
-                    if not entry.cancelled:
+                    if entry.cancelled:
+                        entry._value = None
+                    else:
                         self.fast_wakeups += 1
-                        entry.process._resume(WAKE_OK)
+                        entry.process._resume(entry)
                     continue
                 callbacks = entry.callbacks
                 entry.callbacks = None
@@ -327,9 +368,11 @@ class Simulator:
                     self._draining -= 1
                     if entry.__class__ is hist_cls:
                         entry.pending = False
-                        if not entry.cancelled:
+                        if entry.cancelled:
+                            entry._value = None
+                        else:
                             fast += 1
-                            entry.process._resume(WAKE_OK)
+                            entry.process._resume(entry)
                         continue
                     callbacks = entry.callbacks
                     entry.callbacks = None
@@ -343,7 +386,6 @@ class Simulator:
                 rest = list(it)
                 if rest:
                     pending.extend(rest)
-                    self._pending_when = when
                 self._draining = len(rest)
                 self.events_processed -= len(rest)
                 self.fast_wakeups += fast

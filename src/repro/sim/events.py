@@ -26,38 +26,52 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "PENDING",
+    "PARK",
 ]
 
 
 class _Wakeup:
-    """Pooled heap entry for the timeout fast path.
+    """Pooled queue entry that resumes one process.
 
-    When a process yields a bare number (seconds of delay), the
-    simulator schedules one of these instead of a full :class:`Timeout`:
-    no callback list, no value, and the object is reused across yields,
-    so the hot loop allocates nothing after a process's first wait.
-    A cancelled wakeup (its process was interrupted away) stays in the
-    queue and is discarded when popped.
+    Every per-message step of a run travels as one of these instead of
+    a full :class:`Event`: a bare-number timeout, a parked receive (see
+    :meth:`repro.sim.Store.park`) and the start, transfer and waited
+    completion of an MPI send op.  It carries a value but no callback
+    list, and each process reuses its own across waits, so the hot loop
+    allocates nothing after a process's first wait.  The run loop hands
+    the entry itself to ``process._resume``; ``_ok`` is a class constant
+    because a wakeup always succeeds.
+
+    ``pending`` is set while the entry is held by the queue or parked in
+    a store, so a process never re-arms an entry somebody still holds.
+    A cancelled wakeup (its process was interrupted away) is discarded
+    when popped and skipped by the store it is parked in.
     """
 
-    __slots__ = ("process", "pending", "cancelled")
+    __slots__ = ("process", "pending", "cancelled", "_value")
+
+    _ok = True
 
     def __init__(self, process):
         self.process = process
         self.pending = False
         self.cancelled = False
+        self._value = None
 
 
-class _WakeValue:
-    """Immortal 'succeeded with None' stand-in fed to ``Process._resume``
-    when a fast-path wakeup fires (never enters the queue itself)."""
+class _Park:
+    """Sentinel a process yields to wait on its parked wakeup."""
 
     __slots__ = ()
-    _ok = True
-    _value = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<PARK>"
 
 
-WAKE_OK = _WakeValue()
+#: yielded by a process whose pooled wakeup a producer now holds (see
+#: :meth:`repro.sim.Store.park`); the process resumes with the value
+#: the wakeup is scheduled with
+PARK = _Park()
 
 
 class _PendingType:

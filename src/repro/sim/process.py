@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .events import PENDING, Event, Interrupt, _Wakeup
+from .events import PARK, PENDING, Event, Interrupt, _Wakeup
 
 __all__ = ["Process"]
 
@@ -21,7 +21,11 @@ class Process(Event):
     As a fast path, a generator may also yield a bare non-negative
     number: it suspends for that many seconds, exactly like yielding
     ``sim.timeout(n)`` but without allocating an event (the simulator
-    reuses one pooled wakeup entry per process).
+    reuses one pooled wakeup entry per process).  A generator that
+    yields :data:`~repro.sim.events.PARK` waits on that same pooled
+    wakeup after handing it to a producer (see
+    :meth:`~repro.sim.Store.park`), and resumes with the value the
+    producer schedules it with.
     """
 
     __slots__ = ("generator", "_target", "_wakeup")
@@ -61,7 +65,8 @@ class Process(Event):
         # Detach from the event we were waiting on, then resume with failure.
         target = self._target
         if type(target) is _Wakeup:
-            # fast-path wait: leave the queued entry to be discarded
+            # pooled wait: a queued entry is discarded when popped, a
+            # parked one is skipped by its store
             target.cancelled = True
         elif target is not None and not target.processed:
             try:
@@ -78,14 +83,16 @@ class Process(Event):
         self.sim._schedule(interrupt_ev)
 
     # -- internal ------------------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event) -> None:
+        """Advance the generator with ``event``'s outcome (an Event or
+        this process's pooled wakeup) until it waits again."""
         if self._value is not PENDING:
             # The process finished between this event being scheduled
             # and delivered (e.g. two same-instant interrupts: the first
             # one ends the generator, the second finds it gone).  The
-            # event is stale — discard it.  Fast-path wake tokens never
-            # enter the queue, so only real events need defusing.
-            if isinstance(event, Event):
+            # event is stale — discard it.  A pooled wakeup carries no
+            # failure, so only real events need defusing.
+            if event.__class__ is not _Wakeup:
                 event.defuse()
             return
         sim = self.sim
@@ -95,7 +102,11 @@ class Process(Event):
             while True:
                 try:
                     if event._ok:
-                        target = send(event._value)
+                        value = event._value
+                        if event.__class__ is _Wakeup:
+                            # consumed: a parked wakeup must not pin it
+                            event._value = None
+                        target = send(value)
                     else:
                         event.defuse()
                         target = self.generator.throw(event._value)
@@ -120,6 +131,10 @@ class Process(Event):
                         event._defused = True
                         continue
                     sim._schedule_wakeup(self, target)
+                    self._target = self._wakeup
+                    break
+                if target is PARK:
+                    # a producer holds our wakeup and will schedule it
                     self._target = self._wakeup
                     break
                 if not isinstance(target, Event):

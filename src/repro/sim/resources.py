@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from .events import PENDING, Event
+from .events import PARK, PENDING, Event, _Wakeup
 
 __all__ = ["Resource", "Request", "Store", "NO_ITEM"]
 
@@ -145,7 +145,11 @@ class Store:
 
     ``put(item)`` returns an event (immediate unless the store is
     bounded and full); ``get()`` returns an event that succeeds with the
-    next item, optionally only one matching ``filter``.
+    next item, optionally only one matching ``filter``.  ``park()`` is
+    the event-free form of ``get()`` for a running process: the
+    process's pooled wakeup waits in the same getter queue and is
+    scheduled with the item, in the queue slot ``get()``'s event would
+    take.
     """
 
     __slots__ = ("sim", "capacity", "items", "_getters", "_putters", "_watchers")
@@ -154,7 +158,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._getters: Deque[tuple] = deque()  # (event, filter)
+        # waiting getters: (Event or parked _Wakeup, filter)
+        self._getters: Deque[tuple] = deque()
         self._putters: Deque[tuple] = deque()  # (event, item)
         self._watchers: Deque[tuple] = deque()  # (event, filter)
 
@@ -195,6 +200,34 @@ class Store:
         else:
             self._getters.append((ev, filter))
         return ev
+
+    def park(self, process, filter: Optional[Callable[[Any], bool]] = None):
+        """Wait for the next (optionally filtered) item without an event.
+
+        Registers ``process``'s pooled wakeup as a getter and returns
+        :data:`~repro.sim.events.PARK`, which the process must yield at
+        once: ``item = yield store.park(sim.active_process, flt)``.  A
+        buffered match is removed now and the wakeup scheduled with it
+        at the current time; otherwise the first matching insert
+        schedules it.  Interrupting the parked process cancels the
+        wakeup, and the store then skips it.
+        """
+        if process is None:
+            raise RuntimeError("park() needs the running process")
+        wakeup = process._wakeup
+        if wakeup is None or wakeup.pending:
+            wakeup = process._wakeup = _Wakeup(process)
+        wakeup.pending = True
+        wakeup.cancelled = False
+        idx = self._find(filter)
+        if idx is not None:
+            item = self.items[idx]
+            del self.items[idx]
+            self.sim._wake(wakeup, item)
+            self._drain_putters()
+        else:
+            self._getters.append((wakeup, filter))
+        return PARK
 
     def peek(
         self,
@@ -245,21 +278,25 @@ class Store:
                 else:
                     kept.append((ev, flt))
             self._watchers = kept
-        # Try to satisfy a waiting getter directly; interrupted waiters
-        # are dropped so they cannot swallow items meant for others
-        # (the queue is only rebuilt when one is present).
+        # Try to satisfy a waiting getter directly; getters interrupted
+        # away (an abandoned event, a cancelled wakeup) are dropped so
+        # they cannot swallow items meant for others (the queue is only
+        # rebuilt when one is present).
         getters = self._getters
         if getters:
-            for ev, _flt in getters:
-                if ev.abandoned:
+            for waiter, _flt in getters:
+                if _gone(waiter):
                     getters = self._getters = deque(
-                        (ev, flt) for ev, flt in getters if not ev.abandoned
+                        (w, flt) for w, flt in getters if not _gone(w)
                     )
                     break
-            for i, (ev, flt) in enumerate(getters):
+            for i, (waiter, flt) in enumerate(getters):
                 if flt is None or flt(item):
                     del getters[i]
-                    ev.succeed(item)
+                    if waiter.__class__ is _Wakeup:
+                        self.sim._wake(waiter, item)
+                    else:
+                        waiter.succeed(item)
                     return
         self.items.append(item)
 
@@ -268,3 +305,10 @@ class Store:
             ev, item = self._putters.popleft()
             self._insert(item)
             ev.succeed()
+
+
+def _gone(waiter) -> bool:
+    """Whether a getter's process was interrupted away from it."""
+    if waiter.__class__ is _Wakeup:
+        return waiter.cancelled
+    return waiter.abandoned

@@ -408,6 +408,39 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == 7.0
 
 
+def test_peek_inside_a_batch_reports_the_current_time():
+    # both wakeups share t=5.0 and are dispatched as one batch; the
+    # first one to run must see the other still due now, not a time
+    # left over from an earlier batch
+    sim = Simulator()
+    seen = []
+
+    def proc(sim, first):
+        yield 5.0
+        if first:
+            seen.append(sim.peek())
+
+    sim.process(proc(sim, True))
+    sim.process(proc(sim, False))
+    sim.run()
+    assert seen == [5.0]
+
+
+def test_peek_sees_entries_scheduled_for_now():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        yield 2.0
+        sim.timeout(0.0)
+        seen.append(sim.peek())
+
+    sim.process(proc(sim))
+    sim.timeout(9.0)
+    sim.run()
+    assert seen == [2.0]
+
+
 def test_peek_empty_raises_empty_queue():
     sim = Simulator()
     with pytest.raises(EmptyQueue, match="empty"):
