@@ -2,11 +2,11 @@
 
 The malleability tentpole's headline number: a C+B 8+8 xPic run loses
 two of the eight Booster nodes (an allocation shrink with no spares and
-no reboot — the nodes are gone).  The *static* supervisor can only play
-its scripted degradation (fall back onto the surviving homogeneous
-side at the old width), while the *malleable* supervisor re-runs a
-constrained tune over the surviving machine and resumes on the new
-best partition — on DEEP-ER that is the full sixteen-node Cluster
+no reboot — the nodes are gone).  The supervisor's *static* recovery
+policy can only play its scripted degradation (fall back onto the
+surviving homogeneous side at the old width), while the *malleable*
+policy re-runs a constrained tune over the surviving machine and
+resumes on the new best partition — on DEEP-ER that is the full sixteen-node Cluster
 side, which roughly doubles post-fault throughput.
 
 Archives the comparison under ``benchmarks/_results`` (text + JSON);
@@ -18,12 +18,16 @@ acceptance bar.
 import json
 import pathlib
 
-from repro.apps.xpic import Mode, table2_setup
-from repro.apps.xpic.resilient_driver import run_resilient_experiment
+from repro.apps.xpic import table2_setup
+from repro.apps.xpic.supervisor import (
+    HealOrDegrade,
+    Retune,
+    run_supervised_experiment,
+)
 from repro.bench import render_table
 from repro.engine import preset_machine
-from repro.resiliency import FaultEvent, FaultPlan
-from repro.resiliency.malleable import run_malleable_experiment
+from repro.partition import Partition
+from repro.resiliency import FaultEvent, FaultPlan, MalleabilityPolicy
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 
@@ -50,27 +54,26 @@ def _static_arm():
     """The pre-malleability behavior: no spares, no reboot, scripted
     CB -> homogeneous degradation at the original width."""
     machine = preset_machine()
-    rr, res = run_resilient_experiment(
+    rr, res, _mal = run_supervised_experiment(
         machine,
-        Mode.CB,
         table2_setup(steps=STEPS),
+        Partition(8, 8),
+        recovery=HealOrDegrade(allow_reboot=False),
         fault_plan=_plan(),
         ckpt_interval_s=0.5,
-        nodes_per_solver=8,
-        allow_reboot=False,
     )
     return rr, res
 
 
 def _malleable_arm():
     machine = preset_machine()
-    rr, res, mal = run_malleable_experiment(
+    rr, res, mal = run_supervised_experiment(
         machine,
-        Mode.CB,
         table2_setup(steps=STEPS),
+        Partition(8, 8),
+        recovery=Retune(MalleabilityPolicy()),
         fault_plan=_plan(),
         ckpt_interval_s=0.5,
-        nodes_per_solver=8,
     )
     return rr, res, mal
 

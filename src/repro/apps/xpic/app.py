@@ -1,9 +1,11 @@
 """Engine-facing runner of the xPic app (registry entry point).
 
 Translates an :class:`~repro.engine.ExperimentSpec` into the right
-driver call — plain (:func:`~.driver.run_experiment`), fault-injected
-(:func:`~.resilient_driver.run_resilient_experiment`), or malleable
-(:func:`~repro.resiliency.malleable.run_malleable_experiment`) — and
+driver call — plain (:func:`~.driver.run_experiment`), or, when the
+spec wants resiliency, the supervisor
+(:func:`~.supervisor.run_supervised_experiment`) with the static
+:class:`~.supervisor.HealOrDegrade` recovery policy or, under an
+enabled malleability policy, :class:`~.supervisor.Retune` — and
 normalizes the outcome into the engine's uniform
 ``(result_obj, result_dict, resiliency, malleability)`` shape.
 """
@@ -13,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 
 from ...partition import Partition
-from ...resiliency import FaultPlan
+from ...resiliency import FaultPlan, MalleabilityPolicy
 from ..registry import register
 from .config import table2_setup
-from .driver import normalize_mode, run_experiment
-from .resilient_driver import run_resilient_experiment
+from .driver import flat_partition, normalize_mode, run_experiment
+from .supervisor import HealOrDegrade, Retune, run_supervised_experiment
 
 __all__ = ["run_xpic"]
 
@@ -42,51 +44,28 @@ def run_xpic(spec, machine, runtime, tracer):
     )
     resiliency: dict = {}
     malleability: dict = {}
-    if spec.wants_malleability:
-        # the supervisor sits above this driver layer; import lazily
-        from ...resiliency.malleable import (
-            MalleabilityPolicy,
-            run_malleable_experiment,
+    if spec.wants_resiliency:
+        recovery = (
+            Retune(MalleabilityPolicy.from_dict(spec.malleability))
+            if spec.wants_malleability
+            else HealOrDegrade()
         )
-
-        plan = (
-            FaultPlan.from_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        )
-        rr, resiliency, malleability = run_malleable_experiment(
+        rr, resiliency, malleability = run_supervised_experiment(
             machine,
-            normalize_mode(spec.mode),
             cfg,
-            partition=partition,
-            policy=MalleabilityPolicy.from_dict(spec.malleability),
-            fault_plan=plan,
+            partition or flat_partition(
+                normalize_mode(spec.mode), spec.nodes_per_solver,
+                spec.overlap, spec.swap_placement,
+            ),
+            recovery=recovery,
+            fault_plan=(
+                FaultPlan.from_dict(spec.fault_plan)
+                if spec.fault_plan is not None
+                else None
+            ),
             mtbf_s=spec.mtbf_s,
-            ckpt_interval_s=spec.ckpt_interval_s,
             fault_seed=spec.seed,
-            nodes_per_solver=spec.nodes_per_solver,
-            overlap=spec.overlap,
-            swap_placement=spec.swap_placement,
-            tracer=tracer,
-            runtime=runtime,
-        )
-    elif spec.wants_resiliency:
-        plan = (
-            FaultPlan.from_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        )
-        rr, resiliency = run_resilient_experiment(
-            machine,
-            normalize_mode(spec.mode),
-            cfg,
-            fault_plan=plan,
-            mtbf_s=spec.mtbf_s,
             ckpt_interval_s=spec.ckpt_interval_s,
-            fault_seed=spec.seed,
-            nodes_per_solver=spec.nodes_per_solver,
-            overlap=spec.overlap,
-            swap_placement=spec.swap_placement,
             tracer=tracer,
             load_balanced=spec.load_balanced,
             imbalance_alpha=spec.imbalance_alpha,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ...hardware.machine import Machine
 from ...mpi import Bytes, Comm, MPIRuntime, RankContext
+from ...partition import Partition
 from ...sim.trace import Tracer
 from .config import XpicConfig
 from .workload import (
@@ -34,7 +35,14 @@ from .workload import (
     migration_nbytes,
 )
 
-__all__ = ["Mode", "RunResult", "normalize_mode", "run_experiment"]
+__all__ = [
+    "Layout",
+    "Mode",
+    "RunResult",
+    "normalize_mode",
+    "place",
+    "run_experiment",
+]
 
 TAG_FIELDS = 101
 TAG_MOMENTS = 102
@@ -461,8 +469,75 @@ def _booster_particle_app(
 
 
 # --------------------------------------------------------------------------
-# Experiment runner
+# Placement and the experiment runner
 # --------------------------------------------------------------------------
+@dataclass
+class Layout:
+    """Concrete node assignment of one partition on one machine."""
+
+    partition: Partition
+    primary: List  #: launch nodes (the ranks that checkpoint)
+    spawn: List  #: nodes the primaries spawn the field solver onto
+    ranks: int
+    overlap: bool
+
+
+def place(machine: Machine, part: Partition) -> Layout:
+    """Place a partition on the machine's healthy nodes.
+
+    A C+B split puts the particle solver (the launch side) on the
+    Booster and spawns the field solver onto the Cluster, or the other
+    way round with ``swap_placement``.  A nested homogeneous layout
+    reuses that split topology inside one pool: the particle ranks on
+    the last ``k`` of ``2k`` nodes spawn the field ranks onto the first
+    ``k``.  A flat homogeneous layout runs both solvers on every node.
+    """
+    cluster = [nd for nd in machine.cluster if not nd.failed]
+    booster = [nd for nd in machine.booster if not nd.failed]
+    if part.mode == "C+B":
+        n = part.cluster_nodes
+        if len(cluster) < n or len(booster) < n:
+            raise ValueError(f"not enough healthy nodes for {part.label()!r}")
+        cluster, booster = cluster[:n], booster[:n]
+        if part.swap_placement:
+            cluster, booster = booster, cluster
+        return Layout(part, booster, cluster, n, part.overlap)
+    pool = cluster if part.mode == "Cluster" else booster
+    need = part.total_nodes
+    if len(pool) < need:
+        raise ValueError(
+            f"machine has only {len(pool)} healthy {part.mode} nodes but "
+            f"{part.label()!r} needs {need}"
+        )
+    if part.is_nested:
+        k = part.arm.cluster_nodes
+        return Layout(part, pool[k:need], pool[:k], k, part.arm.overlap)
+    return Layout(part, pool[:need], [], need, True)
+
+
+def flat_partition(
+    mode: Mode, n: int, overlap: bool = True, swap_placement: bool = False
+) -> Partition:
+    """The flat partition of Fig 8's ``(mode, nodes_per_solver)``."""
+    mode = Mode(mode)
+    if mode is Mode.CB:
+        return Partition(n, n, overlap=overlap, swap_placement=swap_placement)
+    return Partition(n, 0) if mode is Mode.CLUSTER else Partition(0, n)
+
+
+def launch_app(config: XpicConfig, wl: StepWorkload, layout: Layout,
+               tracer: Optional[Tracer] = None, resil=None):
+    """The rank program of ``layout``: the split (spawning) particle
+    solver when the layout has a spawn side, else both solvers per
+    rank.  ``resil`` threads a resilience hook through to the ranks."""
+    if layout.spawn:
+        return lambda c: _booster_particle_app(
+            c, config, wl, layout.spawn,
+            overlap=layout.overlap, tracer=tracer, resil=resil,
+        )
+    return lambda c: _homogeneous_app(c, config, wl, resil=resil)
+
+
 def run_experiment(
     machine: Machine,
     mode: Mode,
@@ -492,122 +567,45 @@ def run_experiment(
     (``2k`` same-kind nodes with a ``k+k`` arm) reuses the C+B split
     topology — particle ranks on half the pool spawning field ranks on
     the other half — entirely inside one node kind.  Flat partitions
-    are redundant with the plain kwargs and take the plain path.
+    are redundant with the plain kwargs, which take precedence.
     """
     mode = Mode(mode)
-    if partition is not None and getattr(partition, "is_nested", False):
-        return _run_nested(
-            machine, mode, config, partition, tracer=tracer,
-            load_balanced=load_balanced, imbalance_alpha=imbalance_alpha,
-            runtime=runtime,
+    if partition is not None and partition.is_nested:
+        if partition.mode != mode.value:
+            raise ValueError(
+                f"partition {partition.label()!r} does not run in mode "
+                f"{mode.value!r}"
+            )
+    else:
+        partition = flat_partition(
+            mode, nodes_per_solver, overlap, swap_placement
         )
-    n = nodes_per_solver
-    kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, n, **kwargs)
+    layout = place(machine, partition)
+    wl = build_workload(config, layout.ranks, load_balanced, imbalance_alpha)
     rt = runtime if runtime is not None else MPIRuntime(machine)
     if rt.machine is not machine:
         raise ValueError("runtime belongs to a different machine")
-
-    if mode in (Mode.CLUSTER, Mode.BOOSTER):
-        nodes = machine.cluster[:n] if mode is Mode.CLUSTER else machine.booster[:n]
-        if len(nodes) < n:
-            raise ValueError(f"machine has only {len(nodes)} {mode.value} nodes")
-        timers = rt.run_app(lambda c: _homogeneous_app(c, config, wl), nodes)
-        return _aggregate(mode, n, config.steps, timers, [])
-
-    cluster_nodes = machine.cluster[:n]
-    booster_nodes = machine.booster[:n]
-    if len(cluster_nodes) < n or len(booster_nodes) < n:
-        raise ValueError("not enough nodes for C+B mode")
-    if swap_placement:
-        # particle solver on Cluster nodes, field solver on Booster nodes
-        cluster_nodes, booster_nodes = booster_nodes, cluster_nodes
-    pairs = rt.run_app(
-        lambda c: _booster_particle_app(
-            c, config, wl, cluster_nodes, overlap=overlap, tracer=tracer
-        ),
-        booster_nodes,
-    )
-    booster_timers = [p[0] for p in pairs]
-    cluster_timers = [p[1] for p in pairs]
-    return _aggregate(mode, n, config.steps, booster_timers, cluster_timers)
+    values = rt.run_app(launch_app(config, wl, layout, tracer), layout.primary)
+    return aggregate(layout, config.steps, values)
 
 
-def _run_nested(
-    machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    partition,
-    tracer: Optional[Tracer] = None,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
-    runtime: Optional[MPIRuntime] = None,
-) -> RunResult:
-    """Execute a nested homogeneous partition.
-
-    The root claims ``2k`` same-kind nodes; the arm co-schedules the
-    field solver on the first ``k`` with the particle solver on the
-    last ``k``, wired through the same spawn/pair topology as a C+B
-    split (Listings 2/3) — only both node lists come from one pool.
-    """
-    if mode is Mode.CB:
-        raise ValueError("a C+B partition cannot be nested")
-    if partition.mode != mode.value:
-        raise ValueError(
-            f"partition {partition.label()!r} does not run in mode "
-            f"{mode.value!r}"
-        )
-    arm = partition.arm
-    k = arm.cluster_nodes
-    pool = (
-        machine.cluster if mode is Mode.CLUSTER else machine.booster
-    )[: partition.total_nodes]
-    if len(pool) < partition.total_nodes:
-        raise ValueError(
-            f"machine has only {len(pool)} {mode.value} nodes but the "
-            f"nested partition needs {partition.total_nodes}"
-        )
-    kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, k, **kwargs)
-    rt = runtime if runtime is not None else MPIRuntime(machine)
-    if rt.machine is not machine:
-        raise ValueError("runtime belongs to a different machine")
-    field_nodes, particle_nodes = pool[:k], pool[k:]
-    pairs = rt.run_app(
-        lambda c: _booster_particle_app(
-            c, config, wl, field_nodes, overlap=arm.overlap, tracer=tracer
-        ),
-        particle_nodes,
-    )
-    particle_timers = [p[0] for p in pairs]
-    field_timers = [p[1] for p in pairs]
-    return _aggregate(mode, k, config.steps, particle_timers, field_timers)
-
-
-def _aggregate(
-    mode: Mode,
-    n: int,
-    steps: int,
-    primary: List[RankTimers],
-    secondary: List[RankTimers],
-) -> RunResult:
-    """Critical-path aggregation of per-rank timers into a RunResult."""
-    everyone = list(primary) + list(secondary)
+def aggregate(layout: Layout, steps: int, values: list) -> RunResult:
+    """Critical-path aggregation of the ranks' return values of
+    ``launch_app(layout)`` into a RunResult."""
+    if layout.spawn:
+        everyone = [v[0] for v in values] + [v[1] for v in values]
+    else:
+        everyone = list(values)
     start = min(t.start for t in everyone)
     end = max(t.end for t in everyone)
-    fields = max(t.fields for t in everyone)
-    particles = max(t.particles for t in everyone)
-    comm = max((t.inter_module_comm for t in everyone), default=0.0)
     return RunResult(
-        mode=mode,
-        nodes_per_solver=n,
+        mode=Mode(layout.partition.mode),
+        nodes_per_solver=layout.ranks,
         steps=steps,
         total_runtime=end - start,
-        fields_time=fields,
-        particles_time=particles,
-        inter_module_comm_time=comm,
+        fields_time=max(t.fields for t in everyone),
+        particles_time=max(t.particles for t in everyone),
+        inter_module_comm_time=max(
+            (t.inter_module_comm for t in everyone), default=0.0
+        ),
     )

@@ -1,73 +1,32 @@
-"""Resilient xPic drivers: checkpoint/restart under live fault injection.
+"""Resilient numeric xPic: checkpoint/restart of the real physics.
 
-Two layers close the loop between the application and the resiliency
-stack:
-
-* :func:`run_resilient` — the *numeric* simulation: actual physics
-  state (particles, fields, moments) is captured into SCR buddy
-  checkpoints at its true byte size, a node failure wipes the in-memory
-  state, and the run resumes from the restored payload — on a spare
-  node — producing *bit-identical* physics to an uninterrupted run.
-
-* :func:`run_resilient_experiment` — the *modeled* partitioned drivers
-  of :mod:`.driver` supervised through crash/recovery epochs: a
-  :class:`~repro.resiliency.inject.FaultInjector` kills nodes and links
-  mid-run, every rank aborts (ParaStation-style global job abort), the
-  supervisor restores the newest checkpoint level that survived, swaps
-  spare nodes in (or reboots), and re-runs the remaining steps — with
-  graceful degradation to a homogeneous-Cluster run when the Booster
-  partition becomes unreachable.  Lost/rework time is quantified in the
-  returned resiliency report.
+:func:`run_resilient` runs the *numeric* simulation: actual physics
+state (particles, fields, moments) is captured into SCR buddy
+checkpoints at its true byte size, a node failure wipes the in-memory
+state, and the run resumes from the restored payload — on a spare node
+— producing *bit-identical* physics to an uninterrupted run.  The
+*modeled* partitioned drivers run under fault injection through
+:mod:`.supervisor` instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
-import numpy as np
+from typing import Dict, Optional
 
 from ...hardware.machine import Machine
-from ...io.beegfs import BeeGFS
-from ...mpi import FaultTolerancePolicy, MPIRuntime
 from ...mpi.datatypes import payload_nbytes
-from ...mpi.errors import TransportError
-from ...nam.device import NAMDevice
-from ...network.fabric import NodeFailedError, NoRouteError
 from ...perfmodel import field_kernel, particle_kernel, time_on_node
-from ...perfmodel.calibration import PARTICLE_STATE_BYTES
-from ...resiliency import SCR, CheckpointLevel, FaultInjector, FaultPlan
-from ...sim import Interrupt
-from ...sim.events import AllOf
+from ...resiliency import SCR, CheckpointLevel
 from .config import XpicConfig
-from .driver import (
-    Mode,
-    RunResult,
-    _aggregate,
-    _booster_particle_app,
-    _homogeneous_app,
-)
 from .simulation import XpicSimulation
-from .workload import build_workload
 
 __all__ = [
     "capture_state",
     "restore_state",
     "run_resilient",
     "ResilientRunResult",
-    "ResilienceHooks",
-    "run_resilient_experiment",
 ]
-
-#: a rank hitting any of these mid-epoch is a *recoverable* job abort
-ABORT_EXCEPTIONS = (
-    Interrupt,
-    TransportError,
-    NodeFailedError,
-    nx.exception.NetworkXNoPath,
-)
 
 
 def capture_state(sim: XpicSimulation) -> Dict:
@@ -192,455 +151,3 @@ def run_resilient(
         wall_time_s=machine.sim.now - t0,
         checkpoint_nbytes=state["nbytes"],
     )
-
-
-# --------------------------------------------------------------------------
-# Fault-injected modeled experiments (epoch supervisor)
-# --------------------------------------------------------------------------
-class ResilienceHooks:
-    """Per-epoch glue between the modeled drivers and the SCR manager.
-
-    Handed to the :mod:`.driver` apps as their ``resil`` argument: it
-    tells each rank where to resume (``start_step``), decides — once
-    per step, for all ranks consistently — whether the Young/Daly
-    cadence calls for a checkpoint, and wraps rank generators so that
-    faults turn into collectable abort markers instead of simulator
-    crashes.  With no checkpoint interval configured,
-    :meth:`maybe_checkpoint` yields nothing at all.
-    """
-
-    def __init__(self, scr: SCR, start_step: int, ckpt_nbytes: int):
-        self.scr = scr
-        self.start_step = start_step
-        self.ckpt_nbytes = ckpt_nbytes
-        #: step -> whether that step ends with a checkpoint (the first
-        #: rank to reach the step decides for everyone, so checkpoint
-        #: sets stay aligned across ranks)
-        self._decisions: Dict[int, bool] = {}
-        #: step -> slowest rank's checkpoint duration (job-level cost)
-        self.round_costs: Dict[int, float] = {}
-        #: sim times at which wrapped ranks aborted
-        self.abort_times: List[float] = []
-
-    def maybe_checkpoint(self, ctx, step: int):
-        """Checkpoint this rank at the end of ``step`` if it is time."""
-        if self.scr.checkpoint_interval_s is None:
-            return
-        decision = self._decisions.get(step)
-        if decision is None:
-            decision = self.scr.need_checkpoint()
-            self._decisions[step] = decision
-        if not decision:
-            return
-        rank = ctx.world.rank
-        t0 = ctx.sim.now
-        yield from self.scr.checkpoint(
-            rank, step=step + 1, nbytes=self.ckpt_nbytes
-        )
-        cost = ctx.sim.now - t0
-        self.round_costs[step + 1] = max(
-            self.round_costs.get(step + 1, 0.0), cost
-        )
-
-    def wrap(self, app_fn):
-        """Fail-soft wrapper: returns ``("ok", result)`` or
-        ``("aborted", exception)`` instead of crashing the simulator."""
-
-        def wrapped(ctx):
-            try:
-                result = yield from app_fn(ctx)
-            except ABORT_EXCEPTIONS as exc:
-                self.abort_times.append(ctx.sim.now)
-                # without its traceback: the frames would hold the
-                # machine in a reference cycle until a full gc pass
-                return ("aborted", exc.with_traceback(None))
-            return ("ok", result)
-
-        return wrapped
-
-
-def _estimate_ckpt_nbytes(config: XpicConfig, wl) -> int:
-    """Per-rank restart state: particle state + field/moment arrays."""
-    return int(
-        wl.particles_per_rank * PARTICLE_STATE_BYTES + wl.io_snapshot_nbytes
-    )
-
-
-def _estimate_ckpt_cost_s(scr: SCR, nbytes: int) -> float:
-    """Analytic cost of one buddy checkpoint (feeds Young/Daly)."""
-    node = scr.nodes[0]
-    cost = node.nvme.write_time(nbytes) if node.nvme else nbytes / 1e9
-    if len(scr.nodes) > 1:
-        buddy = scr.nodes[1]
-        cost += scr.fabric.transfer_time(
-            node.node_id, buddy.node_id, nbytes
-        )
-        if buddy.nvme:
-            cost += buddy.nvme.write_time(nbytes)
-    return cost
-
-
-def _drain(sim, rt, injector) -> None:
-    """Run the event loop to quiescence, absorbing transport failures.
-
-    Library helper processes (e.g. the collective isends a communicator
-    spawns internally) are not registered with the runtime, so when a
-    node crash kills their transfer mid-flight the failure escapes
-    ``sim.run`` instead of reaching a supervised rank.  The epoch is
-    lost either way: absorb the failure, abort any ranks still live,
-    and keep draining until the queue is quiet.
-    """
-    while True:
-        try:
-            sim.run()
-            return
-        except ABORT_EXCEPTIONS:
-            injector.stop()
-            for p in rt.live_processes():
-                p.interrupt(cause="epoch aborted")
-
-
-def run_resilient_experiment(
-    machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    fault_plan: Optional[FaultPlan] = None,
-    mtbf_s: Optional[float] = None,
-    fault_targets: Optional[Sequence[str]] = None,
-    fault_seed: int = 20180521,
-    ckpt_interval_s: Optional[float] = None,
-    nodes_per_solver: int = 1,
-    overlap: bool = True,
-    swap_placement: bool = False,
-    tracer=None,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
-    runtime: Optional[MPIRuntime] = None,
-    transport_policy: Optional[FaultTolerancePolicy] = None,
-    allow_reboot: bool = True,
-    max_epochs: int = 200,
-):
-    """Run one modeled xPic experiment under fault injection.
-
-    Mirrors :func:`~repro.apps.xpic.driver.run_experiment` but drives
-    the rank processes through crash/recovery *epochs*: the fault
-    injector replays ``fault_plan`` (or streams Poisson node crashes at
-    the system ``mtbf_s`` over ``fault_targets``, defaulting to the
-    job's primary nodes); a crash of a job node aborts every rank;
-    the supervisor restores the newest step that every rank can read
-    back from the cheapest surviving checkpoint level, replaces dead
-    nodes with spares of the same kind (or reboots them — their NVMe
-    contents stay lost — when ``allow_reboot``), and relaunches the
-    remaining steps.  In C+B mode, if the Booster partition becomes
-    unreachable (no healthy nodes and no reboot, or no surviving fabric
-    route), the run degrades to homogeneous-Cluster mode and completes
-    there.
-
-    ``ckpt_interval_s`` defaults to the Young/Daly optimum when an MTBF
-    is known.  Returns ``(RunResult, resiliency_dict)``; the resiliency
-    dict quantifies faults, retries, checkpoints by level, restarts,
-    and lost work seconds.
-    """
-    mode = Mode(mode)
-    n = nodes_per_solver
-    wl_kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        wl_kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, n, **wl_kwargs)
-    sim = machine.sim
-    rt = runtime if runtime is not None else MPIRuntime(
-        machine,
-        fault_tolerance=(
-            transport_policy
-            if transport_policy is not None
-            else FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
-        ),
-    )
-    if rt.machine is not machine:
-        raise ValueError("runtime belongs to a different machine")
-
-    # -- node selection (mirrors run_experiment) --------------------------
-    if mode is Mode.CB:
-        cluster_nodes = list(machine.cluster[:n])
-        booster_nodes = list(machine.booster[:n])
-        if len(cluster_nodes) < n or len(booster_nodes) < n:
-            raise ValueError("not enough nodes for C+B mode")
-        if swap_placement:
-            cluster_nodes, booster_nodes = booster_nodes, cluster_nodes
-        primary_nodes = booster_nodes  # the ranks that checkpoint
-    else:
-        pool = machine.cluster if mode is Mode.CLUSTER else machine.booster
-        primary_nodes = list(pool[:n])
-        if len(primary_nodes) < n:
-            raise ValueError(f"machine has only {len(primary_nodes)} {mode.value} nodes")
-        cluster_nodes = []
-
-    # -- SCR over the primary side (plus a buddy spare for 1-node jobs) ---
-    ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
-    scr_nodes = list(primary_nodes)
-    if len(scr_nodes) == 1:
-        kind = scr_nodes[0].kind
-        buddy = next(
-            (
-                nd
-                for nd in machine.nodes_of_kind(kind)
-                if nd not in scr_nodes and nd not in cluster_nodes
-                and not nd.failed
-            ),
-            None,
-        )
-        if buddy is not None:
-            scr_nodes.append(buddy)
-    fs = BeeGFS(machine) if machine.storage else None
-    nam = NAMDevice(machine, machine.nams[0]) if machine.nams else None
-    scr = SCR(sim, scr_nodes, machine.fabric, fs=fs, nam=nam)
-    if ckpt_interval_s is None and mtbf_s is not None:
-        from ...resiliency import optimal_interval
-
-        ckpt_interval_s = optimal_interval(
-            _estimate_ckpt_cost_s(scr, ckpt_nbytes), mtbf_s
-        )
-    scr.checkpoint_interval_s = ckpt_interval_s
-
-    # -- fault injector ---------------------------------------------------
-    targets = (
-        list(fault_targets)
-        if fault_targets is not None
-        else [nd.node_id for nd in primary_nodes]
-    )
-    injector = FaultInjector(
-        machine,
-        plan=fault_plan,
-        mtbf_s=mtbf_s,
-        targets=targets,
-        seed=fault_seed,
-    )
-    job_node_ids = {nd.node_id for nd in primary_nodes}
-    job_node_ids.update(nd.node_id for nd in cluster_nodes)
-    crash_info = {"time": None}
-
-    def _on_fault(ev):
-        # a dead job node dooms the whole job (ParaStation aborts all
-        # ranks); faults elsewhere are survived by retry/reroute
-        if ev.kind != "node_crash" or ev.target not in job_node_ids:
-            return
-        if crash_info["time"] is None:
-            crash_info["time"] = sim.now
-        for p in rt.live_processes():
-            p.interrupt(cause=f"node {ev.target} crashed")
-
-    injector.on_fault(_on_fault)
-
-    # -- supervisor state --------------------------------------------------
-    stats = {
-        "restarts": 0,
-        "reboots": 0,
-        "node_replacements": 0,
-        "lost_work_s": 0.0,
-        "restart_costs": [],
-        "restored_steps": [],
-        "degraded_mode": False,
-    }
-    ranks = list(range(n))
-    hooks_list: List[ResilienceHooks] = []
-    start_step = 0
-    epochs = 0
-    final_values = None
-    job_start = sim.now
-
-    def _ckpt_time_of(step: int) -> Optional[float]:
-        times = [rec.time for rec in scr.database if rec.step == step]
-        return max(times) if times else None
-
-    def _replace_or_reboot(nodes: List) -> bool:
-        """Heal dead nodes in one side's list; False if impossible."""
-        for rank, node in enumerate(nodes):
-            if not node.failed:
-                continue
-            spare = next(
-                (
-                    nd
-                    for nd in machine.nodes_of_kind(node.kind)
-                    if not nd.failed
-                    and nd not in primary_nodes
-                    and nd not in cluster_nodes
-                    and nd not in scr_nodes
-                ),
-                None,
-            )
-            if spare is not None:
-                nodes[rank] = spare
-                if nodes is primary_nodes:
-                    scr.replace_node(rank, spare)
-                stats["node_replacements"] += 1
-            elif allow_reboot:
-                machine.fabric.restore_node(node.node_id)
-                stats["reboots"] += 1
-            else:
-                return False
-        return True
-
-    def _booster_reachable() -> bool:
-        try:
-            machine.fabric.directed_route(
-                cluster_nodes[0].node_id, primary_nodes[0].node_id
-            )
-        except nx.exception.NetworkXNoPath:
-            return False
-        return True
-
-    # -- epoch loop --------------------------------------------------------
-    while True:
-        epochs += 1
-        if epochs > max_epochs:
-            raise RuntimeError(
-                f"job did not complete within {max_epochs} epochs"
-            )
-        hooks = ResilienceHooks(scr, start_step, ckpt_nbytes)
-        hooks_list.append(hooks)
-        epoch_start = sim.now
-        crash_info["time"] = None
-        if mode is Mode.CB:
-            app = hooks.wrap(
-                lambda c: _booster_particle_app(
-                    c, config, wl, cluster_nodes,
-                    overlap=overlap, tracer=tracer, resil=hooks,
-                )
-            )
-        else:
-            app = hooks.wrap(
-                lambda c: _homogeneous_app(c, config, wl, resil=hooks)
-            )
-        procs = rt.launch(app, primary_nodes, nprocs=n)
-        injector.start()
-        settled = AllOf(sim, procs)
-        settled.callbacks.append(lambda _ev: injector.stop())
-        _drain(sim, rt, injector)
-        if not all(p.triggered for p in procs) or rt.live_processes():
-            # partial abort (e.g. one rank died of a transport error and
-            # its peers are blocked on it): abort the stragglers too
-            injector.stop()
-            for p in rt.live_processes():
-                p.interrupt(cause="epoch aborted")
-            _drain(sim, rt, injector)
-        values = [p.value for p in procs]
-        if all(tag == "ok" for tag, _ in values):
-            final_values = [payload for _tag, payload in values]
-            break
-
-        # ---- recovery ----------------------------------------------------
-        abort_time = crash_info["time"]
-        if abort_time is None:
-            abort_time = min(hooks.abort_times, default=sim.now)
-        restart_step = scr.latest_restartable_step(ranks)
-        ref = _ckpt_time_of(restart_step) if restart_step is not None else None
-        if ref is None or ref < epoch_start:
-            ref = epoch_start
-        stats["lost_work_s"] += max(0.0, abort_time - ref)
-        healed = _replace_or_reboot(primary_nodes)
-        if cluster_nodes:
-            healed = _replace_or_reboot(cluster_nodes) and healed
-        if mode is Mode.CB and (not healed or not _booster_reachable()):
-            # Booster partition unreachable: degrade to a homogeneous
-            # Cluster run for the remaining steps
-            mode = Mode.CLUSTER
-            stats["degraded_mode"] = True
-            if not _replace_or_reboot(cluster_nodes):
-                raise RuntimeError("no healthy Cluster nodes to degrade onto")
-            primary_nodes = cluster_nodes
-            cluster_nodes = []
-            for rank in ranks:
-                scr.replace_node(rank, primary_nodes[rank])
-        elif not healed:
-            raise RuntimeError("no healthy nodes left to restart the job on")
-        start_step = restart_step if restart_step is not None else 0
-        if restart_step is not None:
-            # charge the (parallel) checkpoint read-back
-            t0 = sim.now
-            restore_procs = [
-                sim.process(
-                    scr.restart(rank, restart_step, onto=primary_nodes[rank])
-                )
-                for rank in ranks
-            ]
-            sim.run()
-            for rp in restore_procs:
-                if not rp.triggered or not rp.ok:
-                    raise RuntimeError("checkpoint restore failed")
-            stats["restart_costs"].append(sim.now - t0)
-            stats["restored_steps"].append(restart_step)
-        stats["restarts"] += 1
-
-    injector.stop()
-    _drain(sim, rt, injector)  # drain any pending injector interrupt
-    end = sim.now
-
-    # -- aggregate timers of the completing epoch -------------------------
-    if mode is Mode.CB:
-        booster_timers = [v[0] for v in final_values]
-        cluster_timers = [v[1] for v in final_values]
-    else:
-        booster_timers = list(final_values)
-        cluster_timers = []
-    result = _aggregate(mode, n, config.steps, booster_timers, cluster_timers)
-    if stats["restarts"] or epochs > 1:
-        # faulted job: report the full wall time, launch to completion
-        # (lost work, restart reads and re-run epochs included) — the
-        # barrier-to-end window of the last epoch would hide the cost
-        result = RunResult(
-            mode=result.mode,
-            nodes_per_solver=result.nodes_per_solver,
-            steps=result.steps,
-            total_runtime=end - job_start,
-            fields_time=result.fields_time,
-            particles_time=result.particles_time,
-            inter_module_comm_time=result.inter_module_comm_time,
-        )
-
-    round_costs: Dict[int, float] = {}
-    for hooks in hooks_list:
-        for step, cost in hooks.round_costs.items():
-            round_costs[step] = max(round_costs.get(step, 0.0), cost)
-    ckpt_costs = list(round_costs.values())
-    resiliency = {
-        "enabled": True,
-        "mtbf_s": mtbf_s,
-        "ckpt_interval_s": ckpt_interval_s,
-        "faults": injector.metrics(),
-        "transport": rt.transport_metrics(),
-        "checkpoints": scr.level_counts(),
-        "checkpoints_total": len(scr.database),
-        "degraded_checkpoints": scr.degraded_checkpoints,
-        "checkpoint_rounds": len(ckpt_costs),
-        "checkpoint_cost_s": (
-            sum(ckpt_costs) / len(ckpt_costs) if ckpt_costs else 0.0
-        ),
-        "checkpoint_time_s": sum(ckpt_costs),
-        "restarts": stats["restarts"],
-        "restart_cost_s": (
-            sum(stats["restart_costs"]) / len(stats["restart_costs"])
-            if stats["restart_costs"]
-            else 0.0
-        ),
-        "restart_time_s": sum(stats["restart_costs"]),
-        "restored_steps": stats["restored_steps"],
-        "lost_work_s": stats["lost_work_s"],
-        "node_replacements": stats["node_replacements"],
-        "reboots": stats["reboots"],
-        "degraded_mode": stats["degraded_mode"],
-        "epochs": epochs,
-        # throughput over the completing epoch: after the last recovery
-        # (or the whole run when nothing failed) — the denominator of
-        # the malleable-vs-static recovery comparison
-        "post_fault": {
-            "steps": config.steps - hooks_list[-1].start_step,
-            "window_s": end - epoch_start,
-            "steps_per_s": (
-                (config.steps - hooks_list[-1].start_step)
-                / (end - epoch_start)
-                if end > epoch_start
-                else 0.0
-            ),
-        },
-    }
-    return result, resiliency

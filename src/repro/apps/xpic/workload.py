@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from ...perfmodel import Kernel, field_kernel, particle_kernel
 from ...perfmodel.calibration import CG_ITERS_PER_STEP, PARTICLE_STATE_BYTES
@@ -115,14 +116,17 @@ def build_workload(
     config: XpicConfig,
     nodes_per_solver: int,
     load_balanced: bool = False,
-    imbalance_alpha: float = LOAD_IMBALANCE_ALPHA,
+    imbalance_alpha: Optional[float] = None,
 ) -> StepWorkload:
     """Derive the per-rank step workload for ``nodes_per_solver`` nodes.
 
     Strong scaling: the global Table II problem is split into row slabs,
     one rank (one node) per slab and per solver.  ``load_balanced``
-    enables the dynamic repartitioning extension.
+    enables the dynamic repartitioning extension; ``imbalance_alpha``
+    defaults to the calibrated ``LOAD_IMBALANCE_ALPHA``.
     """
+    if imbalance_alpha is None:
+        imbalance_alpha = LOAD_IMBALANCE_ALPHA
     n = nodes_per_solver
     if n < 1:
         raise ValueError("need at least one node per solver")

@@ -36,14 +36,15 @@ from .apps import available_apps, get_app
 from .apps.seismic import SeismicPlacement  # noqa: F401  (re-export)
 from .apps.xpic import Mode, normalize_mode, table2_setup  # noqa: F401
 from .apps.xpic.config import SpeciesConfig, XpicConfig
+from .apps.xpic.supervisor import TRANSPORT_POLICY
 from .hardware.machine import (
     Machine,
     build_deep_er_prototype,
     build_jureca_like,
 )
 from .instrument import MetricsHub
-from .mpi import FaultTolerancePolicy, MPIRuntime
-from .resiliency import FaultPlan
+from .mpi import MPIRuntime
+from .resiliency import FaultPlan, MalleabilityPolicy
 from .sim import Simulator, Tracer, resolve_backend
 
 __all__ = [
@@ -125,7 +126,7 @@ class ExperimentSpec:
     config: Optional[XpicConfig] = None
     #: fault injection (stored as the FaultPlan dict so specs stay
     #: JSON-safe); any of these set routes the run through the
-    #: resilient supervisor and adds a ``resiliency`` report section
+    #: supervisor and adds a ``resiliency`` report section
     fault_plan: Optional[dict] = None
     mtbf_s: Optional[float] = None
     ckpt_interval_s: Optional[float] = None
@@ -143,10 +144,11 @@ class ExperimentSpec:
     partition: Optional[dict] = None
     #: malleability policy (see :class:`~repro.resiliency.malleable.
     #: MalleabilityPolicy` for the keys).  With fault injection active,
-    #: routes the run through the malleable supervisor, which re-tunes
-    #: the partition over the surviving machine instead of the static
-    #: degradation script.  Without faults the plain path runs — a
-    #: zero-fault malleable spec is event-identical to today's engine.
+    #: gives the supervisor the ``Retune`` recovery policy, which
+    #: re-tunes the partition over the surviving machine instead of the
+    #: static heal-or-degrade script.  Without faults the plain path
+    #: runs — a zero-fault malleable spec is event-identical to today's
+    #: engine.
     malleability: Optional[dict] = None
 
     def __post_init__(self):
@@ -188,8 +190,6 @@ class ExperimentSpec:
         if self.wants_resiliency and not app_obj.supports_resiliency:
             raise ValueError("fault injection is only wired to the xpic app")
         if self.malleability is not None:
-            from .resiliency.malleable import MalleabilityPolicy
-
             if isinstance(self.malleability, MalleabilityPolicy):
                 self.malleability = self.malleability.to_dict()
             # validate eagerly so a bad policy fails at construction
@@ -207,7 +207,7 @@ class ExperimentSpec:
         ):
             raise ValueError(
                 "a hierarchical partition under fault injection needs "
-                "the malleable supervisor: set malleability "
+                "the malleable recovery policy: set malleability "
                 "(e.g. {'enabled': True}) or run without faults"
             )
         # normalize early so bad modes fail at spec construction
@@ -230,10 +230,10 @@ class ExperimentSpec:
 
     @property
     def wants_malleability(self) -> bool:
-        """True when this spec routes through the malleable supervisor:
+        """True when this spec's supervised run recovers by re-tuning:
         an enabled malleability policy *and* fault injection.  Without
         faults there is nothing to adapt to, so the plain (or static
-        resilient) path runs and stays event-identical."""
+        heal-or-degrade) path runs and stays event-identical."""
         return bool(
             self.malleability
             and self.malleability.get("enabled", True)
@@ -351,7 +351,7 @@ class RunReport:
     #: injected, transport retries, checkpoints by level, restarts,
     #: lost work seconds, degraded-mode flag
     resiliency: dict = field(default_factory=dict)
-    #: malleability section (empty unless the malleable supervisor
+    #: malleability section (empty unless the re-tune recovery policy
     #: ran): policy, initial/final partition, re-partition events,
     #: time-to-recover, post-fault throughput
     malleability: dict = field(default_factory=dict)
@@ -761,12 +761,7 @@ class Engine:
         machine = spec.build_machine()
         if spec.wants_resiliency:
             # transport-level fault tolerance rides along with injection
-            runtime = MPIRuntime(
-                machine,
-                fault_tolerance=FaultTolerancePolicy(
-                    max_retries=2, backoff_base_s=1e-4
-                ),
-            )
+            runtime = MPIRuntime(machine, fault_tolerance=TRANSPORT_POLICY)
         else:
             runtime = MPIRuntime(machine)
         tracer = Tracer() if spec.trace else None

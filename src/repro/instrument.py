@@ -157,7 +157,7 @@ class MetricsHub:
         return self.fleet.metrics_snapshot()
 
     def malleability_metrics(self) -> dict:
-        """The malleable supervisor's report section (policy,
+        """The re-tune recovery policy's report section (policy,
         re-partition events, time-to-recover, post-fault throughput),
         attached by the engine after a malleable run."""
         if self.malleable is None:

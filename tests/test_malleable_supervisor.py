@@ -123,9 +123,11 @@ def test_supervisor_is_deterministic(malleable_report):
     assert a == b  # bit-identical report, repartition sequence included
 
 
-def test_zero_fault_malleable_is_event_identical_to_static():
+@pytest.mark.parametrize("load_balanced", [False, True])
+def test_zero_fault_malleable_is_event_identical_to_static(load_balanced):
+    # both policies run one supervisor loop, workload knobs included
     base = dict(mode="cb", steps=80, nodes_per_solver=4,
-                ckpt_interval_s=0.5)
+                ckpt_interval_s=0.5, load_balanced=load_balanced)
     plain = Engine().run(ExperimentSpec(**base))
     mall = Engine().run(
         ExperimentSpec(**base, malleability={"enabled": True})

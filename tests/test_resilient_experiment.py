@@ -14,12 +14,23 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.apps.xpic import Mode, XpicConfig, run_experiment
-from repro.apps.xpic.resilient_driver import run_resilient_experiment
+from repro.apps.xpic.supervisor import HealOrDegrade, run_supervised_experiment
 from repro.engine import Engine, ExperimentSpec
 from repro.hardware import build_deep_er_prototype
+from repro.partition import Partition
 from repro.resiliency import FaultEvent, FaultPlan, expected_runtime
 
 CFG = XpicConfig(steps=120)
+
+
+def run_static(machine, allow_reboot=True, **kwargs):
+    """A C+B 1+1 run under the static heal-or-degrade policy."""
+    rr, res, mal = run_supervised_experiment(
+        machine, CFG, Partition(1, 1),
+        recovery=HealOrDegrade(allow_reboot), **kwargs
+    )
+    assert mal == {}
+    return rr, res
 
 
 def _plain_runtime():
@@ -34,9 +45,7 @@ def test_booster_crash_recovers_via_scr_restart():
         [FaultEvent(time_s=0.6 * base, kind="node_crash", target="bn00")]
     )
     m = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(
-        m, Mode.CB, CFG, fault_plan=plan, ckpt_interval_s=0.8
-    )
+    rr, res = run_static(m, fault_plan=plan, ckpt_interval_s=0.8)
     assert res["restarts"] >= 1
     assert res["lost_work_s"] > 0
     assert res["restored_steps"] and res["restored_steps"][0] > 0
@@ -54,7 +63,7 @@ def test_crash_without_checkpoints_restarts_from_scratch():
         [FaultEvent(time_s=0.5, kind="node_crash", target="bn00")]
     )
     m = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(m, Mode.CB, CFG, fault_plan=plan)
+    rr, res = run_static(m, fault_plan=plan)
     # no cadence configured: nothing to restart from, the whole prefix
     # is lost work
     assert res["restarts"] == 1
@@ -70,10 +79,8 @@ def test_booster_loss_degrades_to_cluster_run():
         FaultEvent(time_s=1.0, kind="node_crash", target=n.node_id)
         for n in m.booster
     ]
-    rr, res = run_resilient_experiment(
+    rr, res = run_static(
         m,
-        Mode.CB,
-        CFG,
         fault_plan=FaultPlan(events),
         ckpt_interval_s=0.8,
         allow_reboot=False,
@@ -88,9 +95,7 @@ def test_zero_fault_plan_is_bit_identical_to_plain_run():
     m_plain = build_deep_er_prototype()
     plain = run_experiment(m_plain, Mode.CB, CFG)
     m_chaos = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(
-        m_chaos, Mode.CB, CFG, fault_plan=FaultPlan()
-    )
+    rr, res = run_static(m_chaos, fault_plan=FaultPlan())
     assert rr.total_runtime == plain.total_runtime
     assert rr.fields_time == plain.fields_time
     assert rr.particles_time == plain.particles_time
@@ -190,9 +195,7 @@ def test_poisson_failures_match_daly_expected_runtime():
     walls, intervals, ccosts, rcosts = [], [], [], []
     for seed in range(10):
         m = build_deep_er_prototype()
-        rr, res = run_resilient_experiment(
-            m, Mode.CB, CFG, mtbf_s=mtbf, fault_seed=seed
-        )
+        rr, res = run_static(m, mtbf_s=mtbf, fault_seed=seed)
         walls.append(rr.total_runtime)
         intervals.append(res["ckpt_interval_s"])
         if res["checkpoint_cost_s"]:
