@@ -28,14 +28,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ...hardware.machine import Machine
 from ...io.beegfs import BeeGFS
 from ...mpi import FaultTolerancePolicy, MPIRuntime
 from ...mpi.errors import TransportError
 from ...nam.device import NAMDevice
-from ...network.fabric import NodeFailedError, NoRouteError
+from ...network.fabric import NodeFailedError
+from ...network.topology import NoRouteError
 from ...partition import Partition
 from ...perfmodel.calibration import PARTICLE_STATE_BYTES
 from ...resiliency import SCR, FaultInjector, FaultPlan, optimal_interval
@@ -60,7 +59,7 @@ ABORT_EXCEPTIONS = (
     Interrupt,
     TransportError,
     NodeFailedError,
-    nx.exception.NetworkXNoPath,
+    NoRouteError,
 )
 
 #: transport fault tolerance of a supervised run built without a runtime

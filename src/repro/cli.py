@@ -1226,6 +1226,7 @@ def cmd_bench(args) -> str:
                 "benchmarks/test_journal_append.py",
                 "benchmarks/test_fleet_router.py",
                 "benchmarks/test_malleable_recover.py",
+                "benchmarks/test_cold_start.py",
             ]
         )
         cmd = [_sys.executable, "-m", "pytest", "--benchmark-only", "-q"]

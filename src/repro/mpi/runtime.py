@@ -26,11 +26,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
-import networkx as nx
-
 from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
+from ..network.topology import NoRouteError
 from ..sim import Process, Simulator, Store
 from ..sim.events import PENDING, AnyOf, Event, _Wakeup
 from .datatypes import payload_nbytes
@@ -516,7 +515,7 @@ class MPIRuntime:
                 return
             except NodeFailedError as exc:
                 error = PeerFailedError(str(exc))
-            except nx.exception.NetworkXNoPath as exc:
+            except NoRouteError as exc:
                 error = RouteDownError(str(exc))
             except TransportTimeoutError as exc:
                 error = exc

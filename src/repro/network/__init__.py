@@ -1,6 +1,6 @@
 """EXTOLL-like interconnect fabric model.
 
-Topology (networkx graph of nodes, switches and trunked links), LogGP
+Topology (ordered routing graph of nodes, switches and trunked links), LogGP
 message cost model, and contention-aware transfers driven by the
 discrete-event simulator.
 """

@@ -18,17 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-import networkx as nx
-
 from ..hardware.node import Node
 from ..sim import Simulator
 from ..sim.resources import Request, Resource
-from .topology import Topology
+from .topology import NoRouteError, Topology
 
 __all__ = [
     "Fabric",
     "NodeFailedError",
-    "NoRouteError",
     "EAGER_THRESHOLD_BYTES",
     "PROTOCOL_EFFICIENCY",
 ]
@@ -37,13 +34,6 @@ __all__ = [
 class NodeFailedError(Exception):
     """A transfer was attempted to or from a failed node."""
 
-
-class NoRouteError(nx.exception.NetworkXNoPath):
-    """No surviving path connects two endpoints.
-
-    Subclasses ``networkx.NetworkXNoPath`` so callers that already catch
-    the raw networkx error keep working.
-    """
 
 #: ParaStation-MPI-like eager/rendezvous switch point.
 EAGER_THRESHOLD_BYTES = 32 * 1024
@@ -140,7 +130,7 @@ class Fabric:
     # -- registration -----------------------------------------------------
     def register_node(self, node: Node) -> None:
         """Attach a node object to its topology endpoint."""
-        if node.node_id not in self.topology.graph:
+        if node.node_id not in self.topology:
             raise KeyError(f"{node.node_id} not present in topology")
         self._nodes[node.node_id] = node
 
@@ -166,12 +156,7 @@ class Fabric:
         """
         key = (src, dst)
         if key not in self._route_cache:
-            try:
-                path = self.topology.shortest_path(src, dst)
-            except nx.exception.NetworkXNoPath:
-                raise NoRouteError(
-                    f"no surviving route {src!r} -> {dst!r}"
-                ) from None
+            path = self.topology.shortest_path(src, dst)
             self._route_cache[key] = self.topology.directed_links_on_path(path)
         return self._route_cache[key]
 
@@ -189,7 +174,7 @@ class Fabric:
     def fail_link(self, u: str, v: str) -> None:
         """Fail a fabric link; subsequent traffic reroutes around it.
 
-        Raises ``networkx.NetworkXNoPath`` later if a destination
+        Routing raises :class:`NoRouteError` later if a destination
         becomes unreachable.
         """
         self.topology.fail_link(u, v)
@@ -314,7 +299,7 @@ class Fabric:
             return None
         try:
             rc = self.route_cost(src, dst)
-        except nx.NetworkXException:
+        except (NoRouteError, KeyError):
             return None
         resources = rc.resources
         for r in resources:

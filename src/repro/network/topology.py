@@ -1,4 +1,4 @@
-"""Fabric topology construction (networkx-based).
+"""Fabric topology construction and shortest-path routing.
 
 The DEEP-ER prototype runs one uniform EXTOLL Tourmalet fabric across
 Cluster, Booster and storage.  We model it as a two-level fat topology:
@@ -11,21 +11,34 @@ Cluster, Booster and storage.  We model it as a two-level fat topology:
 Hop counts therefore come out as CN-CN / BN-BN = 2 links and
 CN-BN = 3 links, which (together with the per-node software overheads)
 reproduces the latency ordering of Fig 3.
+
+Routes are fixed shortest paths.  The routing graph is a plain ordered
+adjacency map, and :meth:`Topology.shortest_path` is a bidirectional
+breadth-first search that visits neighbours in insertion order, so
+equal-length ties (torus rings, storage and NAM vertices that touch
+both switch groups) always resolve to the same route.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Tuple
 
 from ..sim import Simulator
 from .link import Link, LinkSpec, TOURMALET_LINK
 
-__all__ = ["Topology", "build_two_level_topology", "build_torus_topology"]
+__all__ = [
+    "NoRouteError",
+    "Topology",
+    "build_two_level_topology",
+    "build_torus_topology",
+]
 
 CLUSTER_SWITCH = "sw.cluster"
 BOOSTER_SWITCH = "sw.booster"
+
+
+class NoRouteError(Exception):
+    """No surviving path connects two endpoints."""
 
 
 class Topology:
@@ -41,7 +54,9 @@ class Topology:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.graph = nx.Graph()
+        #: routing graph: vertex -> neighbours, both in insertion order
+        self._adj: Dict[str, Dict[str, None]] = {}
+        self._kind: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         #: canonical (u, v) keys of links individually taken down
         self._failed_links: set = set()
@@ -50,15 +65,32 @@ class Topology:
 
     def add_endpoint(self, node_id: str, kind: str = "node") -> None:
         """Add a vertex (node or switch) to the fabric graph."""
-        self.graph.add_node(node_id, kind=kind)
+        self._adj.setdefault(node_id, {})
+        self._kind[node_id] = kind
+
+    def __contains__(self, node_id: str) -> bool:
+        return node_id in self._adj
+
+    def kind(self, node_id: str) -> str:
+        """The vertex kind: ``"node"``, ``"switch"`` or ``"spare"``."""
+        return self._kind[node_id]
+
+    def degree(self, node_id: str) -> int:
+        """Number of links of a vertex currently in the routing graph."""
+        return len(self._adj[node_id])
+
+    def _add_edge(self, u: str, v: str) -> None:
+        # Re-adding a present edge keeps its neighbour-order position.
+        self._adj[u][v] = None
+        self._adj[v][u] = None
 
     def add_link(self, u: str, v: str, spec: LinkSpec) -> Link:
         """Connect two existing endpoints with a new link."""
         for n in (u, v):
-            if n not in self.graph:
+            if n not in self._adj:
                 raise KeyError(f"unknown endpoint {n!r}")
         link = Link(self.sim, u, v, spec)
-        self.graph.add_edge(u, v)
+        self._add_edge(u, v)
         self._links[tuple(sorted((u, v)))] = link
         return link
 
@@ -76,11 +108,13 @@ class Topology:
 
     def _sync_edge(self, key: Tuple[str, str]) -> None:
         """Make the routing graph agree with the link/node failure sets."""
-        present = self.graph.has_edge(*key)
+        u, v = key
+        present = v in self._adj[u]
         if self._edge_should_exist(key) and not present:
-            self.graph.add_edge(*key)
+            self._add_edge(u, v)
         elif not self._edge_should_exist(key) and present:
-            self.graph.remove_edge(*key)
+            del self._adj[u][v]
+            del self._adj[v][u]
 
     def fail_link(self, u: str, v: str) -> None:
         """Take a link out of service (routing will avoid it).
@@ -114,7 +148,7 @@ class Topology:
     def fail_node(self, node_id: str) -> None:
         """Take a vertex down: all of its links leave the routing graph
         (traffic *through* the vertex reroutes or fails cleanly)."""
-        if node_id not in self.graph:
+        if node_id not in self._adj:
             raise ValueError(f"unknown endpoint {node_id!r}")
         if node_id in self._failed_nodes:
             raise ValueError(f"node {node_id!r} is already down")
@@ -125,7 +159,7 @@ class Topology:
 
     def restore_node(self, node_id: str) -> None:
         """Bring a vertex back up; its non-failed links rejoin the graph."""
-        if node_id not in self.graph:
+        if node_id not in self._adj:
             raise ValueError(f"unknown endpoint {node_id!r}")
         self._failed_nodes.discard(node_id)
         for key in self._links:
@@ -157,13 +191,83 @@ class Topology:
             out.append((link, link.u == a))
         return out
 
-    def shortest_path(self, src: str, dst: str):
-        """Shortest vertex path between two endpoints."""
-        return nx.shortest_path(self.graph, src, dst)
+    def shortest_path(self, src: str, dst: str) -> List[str]:
+        """Shortest vertex path between two endpoints.
+
+        Raises :class:`KeyError` for an unknown endpoint and
+        :class:`NoRouteError` when no path survives.
+        """
+        for n in (src, dst):
+            if n not in self._adj:
+                raise KeyError(f"unknown endpoint {n!r}")
+        pred, succ, w = self._meet(src, dst)
+        path = []
+        while w is not None:
+            path.append(w)
+            w = pred[w]
+        path.reverse()
+        w = succ[path[-1]]
+        while w is not None:
+            path.append(w)
+            w = succ[w]
+        return path
+
+    def _meet(self, src: str, dst: str) -> tuple:
+        """Bidirectional BFS: ``(pred, succ, w)`` where ``pred`` leads
+        from the meeting vertex ``w`` back to ``src`` and ``succ`` on to
+        ``dst``.
+
+        Each round grows the smaller fringe (the forward one on a tie),
+        scans neighbours in insertion order and stops at the first
+        vertex both searches have reached, so every tie between
+        equal-length routes always resolves the same way.
+        """
+        if src == dst:
+            return {dst: None}, {src: None}, src
+        adj = self._adj
+        pred = {src: None}
+        succ = {dst: None}
+        forward = [src]
+        reverse = [dst]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                for v in level:
+                    for w in adj[v]:
+                        if w not in pred:
+                            forward.append(w)
+                            pred[w] = v
+                        if w in succ:
+                            return pred, succ, w
+            else:
+                level, reverse = reverse, []
+                for v in level:
+                    for w in adj[v]:
+                        if w not in succ:
+                            succ[w] = v
+                            reverse.append(w)
+                        if w in pred:
+                            return pred, succ, w
+        raise NoRouteError(f"no surviving route {src!r} -> {dst!r}")
 
     def is_connected(self) -> bool:
-        """Whether every endpoint can reach every other."""
-        return nx.is_connected(self.graph)
+        """Whether every vertex can reach every other (a failed vertex
+        has no links, so it counts as isolated)."""
+        adj = self._adj
+        if not adj:
+            return False
+        start = next(iter(adj))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        return len(seen) == len(adj)
 
     @property
     def links(self):
@@ -171,9 +275,14 @@ class Topology:
         return list(self._links.values())
 
     @property
+    def vertices(self) -> List[str]:
+        """All vertices (nodes, switches and spares) in insertion order."""
+        return list(self._adj)
+
+    @property
     def endpoints(self):
         """All node (non-switch) vertices."""
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "node"]
+        return [n for n, kind in self._kind.items() if kind == "node"]
 
 
 def build_two_level_topology(

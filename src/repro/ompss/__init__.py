@@ -6,7 +6,12 @@ tasks (with their data) between Cluster and Booster; and the three
 DEEP-ER resiliency extensions of section III-D.
 """
 
-from .depgraph import build_dependency_graph, critical_path_length, ready_tasks
+from .depgraph import (
+    DependencyGraph,
+    build_dependency_graph,
+    critical_path_length,
+    ready_tasks,
+)
 from .runtime import OmpSsRuntime, TaskFailure
 from .task import Target, TaskSpec, TaskState
 
@@ -16,6 +21,7 @@ __all__ = [
     "TaskSpec",
     "TaskState",
     "Target",
+    "DependencyGraph",
     "build_dependency_graph",
     "ready_tasks",
     "critical_path_length",

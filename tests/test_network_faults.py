@@ -1,10 +1,9 @@
 """Fault-aware routing: link failures and rerouting."""
 
-import networkx as nx
 import pytest
 
 from repro.hardware import Node, NodeKind, build_deep_er_prototype, presets
-from repro.network import Fabric, build_torus_topology
+from repro.network import Fabric, NoRouteError, build_torus_topology
 from repro.sim import Interrupt, Process, Resource, Simulator, Store
 
 
@@ -72,7 +71,7 @@ def test_two_level_single_uplink_is_fatal():
     losing it partitions the node (why real EXTOLL is a torus)."""
     machine = build_deep_er_prototype()
     machine.fabric.fail_link("cn00", "sw.cluster")
-    with pytest.raises(nx.NetworkXNoPath):
+    with pytest.raises(NoRouteError):
         machine.fabric.hops("cn00", "cn01")
     # other nodes unaffected
     assert machine.fabric.hops("cn01", "cn02") == 2
@@ -261,8 +260,6 @@ from hypothesis import strategies as st
 def test_torus_survives_random_link_failures(edge_picks):
     """Property: failing a few random torus links keeps traffic flowing
     (reroute) or raises a clean no-path error — never corrupts state."""
-    import networkx as nx
-
     sim = Simulator()
     ids = [f"n{i}" for i in range(12)]
     topo = build_torus_topology(sim, ids, dims=(2, 2, 3))
@@ -279,7 +276,7 @@ def test_torus_survives_random_link_failures(edge_picks):
     try:
         hops = fabric.hops(ids[0], ids[-1])
         assert hops >= 1
-    except nx.NetworkXNoPath:
+    except NoRouteError:
         pass  # clean partition is acceptable
     # restoring everything returns to full connectivity
     for u, v in edges:

@@ -42,7 +42,7 @@ def test_raw_dependency():
     a, b = make_specs([("w", [], ["x"], 1.0), ("r", ["x"], [], 1.0)])
     g = build_dependency_graph([a, b])
     assert g.has_edge(a.task_id, b.task_id)
-    assert g.edges[a.task_id, b.task_id]["kind"] == "RAW"
+    assert g.edge(a.task_id, b.task_id).kind == "RAW"
 
 
 def test_waw_and_war_dependencies():
@@ -50,14 +50,14 @@ def test_waw_and_war_dependencies():
         [("w1", [], ["x"], 1), ("r", ["x"], [], 1), ("w2", [], ["x"], 1)]
     )
     g = build_dependency_graph([w1, r, w2])
-    assert g.edges[w1.task_id, w2.task_id]["kind"] == "WAW"
-    assert g.edges[r.task_id, w2.task_id]["kind"] == "WAR"
+    assert g.edge(w1.task_id, w2.task_id).kind == "WAW"
+    assert g.edge(r.task_id, w2.task_id).kind == "WAR"
 
 
 def test_independent_tasks_have_no_edges():
     a, b = make_specs([("a", [], ["x"], 1), ("b", [], ["y"], 1)])
     g = build_dependency_graph([a, b])
-    assert g.number_of_edges() == 0
+    assert len(g.edges()) == 0
     assert len(ready_tasks(g, set())) == 2
 
 

@@ -39,7 +39,7 @@ def test_torus_degree_bounded_by_six():
     """A 3D torus NIC has at most six links."""
     _, fabric, ids = make_torus_fabric(27, dims=(3, 3, 3))
     for nid in ids:
-        assert fabric.topology.graph.degree(nid) <= 6
+        assert fabric.topology.degree(nid) <= 6
 
 
 def test_torus_neighbour_single_hop():
@@ -98,7 +98,7 @@ def test_torus_transfer_with_contention():
 def test_spare_vertices_forward_but_are_not_endpoints():
     sim = Simulator()
     topo = build_torus_topology(sim, [f"n{i}" for i in range(5)], dims=(2, 2, 2))
-    kinds = dict(topo.graph.nodes(data="kind"))
+    kinds = {n: topo.kind(n) for n in topo.vertices}
     spares = [n for n, k in kinds.items() if k == "spare"]
     assert len(spares) == 3
     assert all(n not in topo.endpoints for n in spares)
