@@ -1,7 +1,7 @@
 """Microbenchmark — fleet router round-trip throughput.
 
 The fleet front end only pays for itself if routing a submission —
-cache-key hash, ring lookup, shard dispatch, collector resolution —
+cache-key hash, ring lookup, shard dispatch, push resolution —
 stays cheap next to the work it schedules.  Two figures on a 4-shard
 local fleet:
 
@@ -10,8 +10,8 @@ local fleet:
   back, the per-message floor every remote client pays twice
 * ``router_round_trips_per_sec`` — submit -> resolved result through
   the full router machinery (sticky map, hash ring, shard service,
-  collector thread) on warm keys, pipelined the way a busy front end
-  drives it
+  push resolution from the service job's done callback) on warm keys,
+  pipelined the way a busy front end drives it
 
 Archives a table and machine-readable JSON under
 ``benchmarks/_results``; the ``check_regression`` gate holds both
@@ -65,9 +65,7 @@ def _bench_router(tmp_root) -> dict:
         LocalShard(f"b{i}", root / f"b{i}", workers=1, max_queue=2 * N_TRIPS)
         for i in range(4)
     ]
-    router = FleetRouter(
-        shards, steal_threshold=None, collect_interval_s=0.001
-    )
+    router = FleetRouter(shards, steal_threshold=None)
     router.start()
     try:
         specs = [ExperimentSpec(mode="cb", steps=3 + i)

@@ -5,9 +5,13 @@ socket speaking the length-prefixed JSON protocol
 (:mod:`repro.fleet.protocol`): many concurrent clients, one
 connection each, any number of requests per connection.  The event
 loop runs in a dedicated thread, so the front end layers cleanly over
-the router's thread-based core, and waiting on a job resolution is a
-polling coroutine — thousands of in-flight submissions cost
-coroutines, not blocked threads.
+the router's thread-based core.  Waiting on a job awaits an
+``asyncio.Future`` that the job's done callback resolves through
+``loop.call_soon_threadsafe`` from whichever thread resolved the job,
+so a reply is written as soon as the result exists and thousands of
+in-flight submissions cost futures, not blocked threads or poll
+timers.  A job already resolved at submit (a cache hit) is answered
+without awaiting anything.
 
 Operations (request ``op`` -> reply)::
 
@@ -41,9 +45,6 @@ from .protocol import (
 from .router import FleetJob, FleetRouter
 
 __all__ = ["FleetFrontEnd"]
-
-#: how often a waiting coroutine re-checks its job's resolution
-_WAIT_POLL_S = 0.005
 
 
 def _job_doc(job: FleetJob) -> dict:
@@ -102,6 +103,9 @@ class FleetFrontEnd:
         self._thread: Optional[threading.Thread] = None
         #: fleet job id -> job, for two-phase submit/wait clients
         self._jobs: Dict[int, FleetJob] = {}
+        #: fleet job id -> future its done callback resolves (loop
+        #: thread only; shared by every wait on that job)
+        self._futures: Dict[int, asyncio.Future] = {}
 
     @property
     def address(self) -> str:
@@ -166,6 +170,7 @@ class FleetFrontEnd:
         if self._thread is not None:
             self._thread.join(timeout=10)
         self._thread = None
+        self._futures.clear()  # bound to the stopped loop
 
     def __enter__(self) -> "FleetFrontEnd":
         return self.start()
@@ -202,17 +207,39 @@ class FleetFrontEnd:
 
     async def _wait_for(self, job: FleetJob,
                         timeout: Optional[float]) -> dict:
-        waited = 0.0
-        while not job.done():
-            if timeout is not None and waited >= timeout:
+        if not job.done():
+            future = self._futures.get(job.id)
+            if future is None:
+                loop = asyncio.get_running_loop()
+                future = loop.create_future()
+                self._futures[job.id] = future
+                job.add_done_callback(
+                    lambda _job: self._wake_threadsafe(loop, job.id, future)
+                )
+            try:
+                # shielded: a timed-out wait leaves the future pending
+                # for the next wait on the same job
+                await asyncio.wait_for(asyncio.shield(future), timeout)
+            except asyncio.TimeoutError:
                 return _error_doc(
                     "timeout", id=job.id,
                     detail=f"job {job.id} unresolved after {timeout}s",
                 )
-            await asyncio.sleep(_WAIT_POLL_S)
-            waited += _WAIT_POLL_S
         self._jobs.pop(job.id, None)
         return _result_doc(job)
+
+    def _wake_threadsafe(self, loop, job_id: int, future) -> None:
+        """Done callback (any thread): wake the job's waiters."""
+        try:
+            loop.call_soon_threadsafe(self._wake, job_id, future)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is left to wake
+
+    def _wake(self, job_id: int, future) -> None:
+        if self._futures.get(job_id) is future:
+            del self._futures[job_id]
+        if not future.done():
+            future.set_result(None)
 
     async def _dispatch(self, msg: dict) -> dict:
         op = msg.get("op")

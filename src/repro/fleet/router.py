@@ -26,9 +26,24 @@ semantics fleet-wide:
   fall to the survivors and its outstanding jobs are rerouted — no
   accepted job is lost with the shard.
 
+* **Push resolution** — a local shard's service job calls the router
+  back when it resolves (:meth:`~repro.fleet.shard.LocalShard.watch`),
+  and the router resolves the :class:`FleetJob` from that callback,
+  which in turn calls its own done callbacks (the TCP front end's
+  futures).  Only process shards, whose handles are request ids, are
+  polled, by a collector thread that runs only when the fleet has one.
+
 The router itself holds every accepted spec in memory as a
 :class:`FleetJob` until resolution, which is what makes rerouting
 possible without any cross-shard replication.
+
+Lock order: the router lock is taken before a shard's service lock
+(``shard.submit`` runs under the router lock), so nothing may take
+the router lock while holding a service lock.  Service jobs therefore
+run their callbacks after releasing the service lock, and a shard
+handle is watched only after the router lock is released — a cache
+hit or a quarantined spec comes back from ``shard.submit`` already
+resolved, and watching it calls the router back at once.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..serve.queue import QueueFull
+from ..serve.queue import DoneCallbacks, QueueFull
 from ..store.keys import cache_key
 from .metrics import FLEET_METRICS_SCHEMA, merge_service_snapshots
 from .ring import HashRing
@@ -53,8 +68,9 @@ class FleetJob:
 
     Unlike a shard job, a FleetJob can outlive its shard: on shard
     death the router detaches it (``inner = None``) and redispatches
-    the spec elsewhere, so ``result()`` callers never observe the
-    infrastructure failure — only the job's real outcome.
+    the spec elsewhere, so ``result()`` callers and done callbacks
+    never observe the infrastructure failure — only the job's real
+    outcome.  The router resolves it exactly once, holding no lock.
     """
 
     def __init__(self, spec, key, priority=0, client="fleet",
@@ -79,10 +95,18 @@ class FleetJob:
         self._event = threading.Event()
         self._report = None
         self._error: Optional[BaseException] = None
+        self._callbacks = DoneCallbacks(self)
 
     def done(self) -> bool:
         """True once the job has a report or a failure."""
         return self._event.is_set()
+
+    def add_done_callback(self, fn) -> None:
+        """Call ``fn(job)`` once the job is resolved; at once if it
+        already is.  ``fn`` runs exactly once, on the resolving thread
+        (or this one), with no router lock held; an exception it
+        raises is swallowed."""
+        self._callbacks.add(fn)
 
     def result(self, timeout: Optional[float] = None):
         """Block until resolved; the RunReport, or raises the failure."""
@@ -105,10 +129,12 @@ class FleetJob:
     def _resolve(self, report) -> None:
         self._report = report
         self._event.set()
+        self._callbacks.run()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
         self._event.set()
+        self._callbacks.run()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done() else "pending"
@@ -123,9 +149,11 @@ class FleetRouter:
 
     ``shards`` are constructed (but not necessarily started)
     :class:`~repro.fleet.shard.ShardHandle` instances with unique
-    names.  ``start()`` boots every shard plus the collector and
-    monitor threads; ``submit()`` is then thread-safe from any number
-    of clients.
+    names.  ``start()`` boots every shard plus the monitor thread (and
+    the collector thread when some shard must be polled); ``submit()``
+    is then thread-safe from any number of clients.
+    ``collect_interval_s`` is the collector's poll period; local-shard
+    jobs resolve by push and are never polled.
     """
 
     def __init__(
@@ -154,6 +182,8 @@ class FleetRouter:
         self._monitor_interval_s = monitor_interval_s
         self._collect_interval_s = collect_interval_s
         self._lock = threading.Lock()
+        #: notified when _outstanding empties (drain waits on it)
+        self._drained = threading.Condition(self._lock)
         #: key -> owning shard name while any submission is in flight
         self._inflight: Dict[str, str] = {}
         self._inflight_count: Dict[str, int] = {}
@@ -187,7 +217,10 @@ class FleetRouter:
             )
             if not started:
                 shard.start()
-        if self._collector is None or not self._collector.is_alive():
+        polled = any(not s.pushes for s in self._shards.values())
+        if polled and (
+            self._collector is None or not self._collector.is_alive()
+        ):
             self._collector = threading.Thread(
                 target=self._collector_loop,
                 name="repro-fleet-collector",
@@ -206,16 +239,10 @@ class FleetRouter:
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until every accepted job is resolved (and stolen
         results synced home); False on timeout."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout  # wall-clock-ok: host-side draining only
-        )
-        while True:
-            with self._lock:
-                if not self._outstanding:
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:  # wall-clock-ok: host-side draining only
-                return False
-            time.sleep(0.005)
+        with self._drained:
+            return self._drained.wait_for(
+                lambda: not self._outstanding, timeout
+            )
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
@@ -229,6 +256,7 @@ class FleetRouter:
             self._outstanding.clear()
             self._inflight.clear()
             self._inflight_count.clear()
+            self._drained.notify_all()
         self._stop.set()
         for thread in (self._collector, self._monitor):
             if thread is not None:
@@ -269,14 +297,16 @@ class FleetRouter:
         with self._lock:
             if self._stopping:
                 raise RuntimeError("fleet router has been shut down")
-            self._dispatch_locked(job)
+            shard, inner = self._dispatch_locked(job)
+        self._watch(job, shard, inner)
         return job
 
     def _live_names(self) -> List[str]:
         return [n for n in self._shards if n not in self._lost]
 
-    def _dispatch_locked(self, job: FleetJob) -> None:
-        """Pick a shard (sticky > steal > ring) and hand the job over.
+    def _dispatch_locked(self, job: FleetJob) -> tuple:
+        """Pick a shard (sticky > steal > ring) and hand the job over;
+        returns ``(shard, handle)`` for :meth:`_watch`.
 
         Caller holds the lock.  Raises the shard's admission error
         without registering the job.
@@ -331,6 +361,31 @@ class FleetRouter:
             self._inflight_count.get(job.key, 0) + 1
         )
         self._outstanding[job.id] = job
+        return shard, inner
+
+    def _watch(self, job: FleetJob, shard, inner) -> None:
+        """Have a push shard settle ``job`` when ``inner`` resolves.
+
+        Called with no lock held: an already-resolved handle (cache
+        hit, quarantined spec) settles the job at once, in this
+        thread.  Handles of polled shards are left to the collector.
+        """
+        if shard.pushes:
+            shard.watch(
+                inner,
+                lambda outcome: self._settle(job, inner, shard, outcome),
+            )
+
+    def _claim_locked(self, job: FleetJob) -> bool:
+        """Take ``job`` out of the outstanding set; True for the one
+        caller that may resolve it."""
+        if self._outstanding.pop(job.id, None) is None:
+            return False
+        if job.inner is not None:  # a detached job was already counted out
+            self._dec_inflight_locked(job.key)
+        if not self._outstanding:
+            self._drained.notify_all()
+        return True
 
     def _dec_inflight_locked(self, key: str) -> None:
         count = self._inflight_count.get(key, 0) - 1
@@ -340,7 +395,31 @@ class FleetRouter:
         else:
             self._inflight_count[key] = count
 
-    # -- collector (resolution + stolen-result sync) -------------------------
+    # -- resolution (push callbacks, collector, stolen-result sync) ----------
+    def _settle(self, job: FleetJob, inner, shard, outcome) -> None:
+        """Adopt the outcome ``inner`` resolved with as ``job``'s own.
+
+        The one resolution path of push callbacks and the collector.
+        Runs with no lock held.
+        """
+        if job.inner is not inner:
+            return  # detached or rerouted since this handle was issued
+        status, payload, info = outcome
+        if status == "failed" and not shard.alive(self.stale_after_s):
+            # a dying shard's teardown error is not the job's fate:
+            # leave it for the monitor to detach and reroute
+            return
+        if status == "done" and job.stolen:
+            self._sync_stolen(job)  # before anyone can resubmit the key
+        with self._lock:
+            if job.inner is not inner or not self._claim_locked(job):
+                return
+        job.cache_hit = bool(info.get("cache_hit", False))
+        if status == "done":
+            job._resolve(payload)
+        else:
+            job._fail(payload)
+
     def _collector_loop(self) -> None:
         while not self._stop.wait(self._collect_interval_s):
             try:
@@ -350,34 +429,18 @@ class FleetRouter:
         self._collect_once()
 
     def _collect_once(self) -> None:
+        """Poll every outstanding handle of a shard that cannot push."""
         with self._lock:
             pending = [
-                (job, job.inner, job.shard)
+                (job, job.inner, self._shards[job.shard])
                 for job in self._outstanding.values()
                 if job.inner is not None
+                and not self._shards[job.shard].pushes
             ]
-        for job, inner, shard_name in pending:
-            shard = self._shards.get(shard_name)
-            if shard is None:
-                continue
+        for job, inner, shard in pending:
             outcome = shard.poll(inner)
-            if outcome is None:
-                continue
-            status, payload, info = outcome
-            if status == "failed" and not shard.alive(self.stale_after_s):
-                # a dying shard's teardown error is not the job's
-                # fate: leave it for the monitor to detach and reroute
-                continue
-            if status == "done" and job.stolen:
-                self._sync_stolen(job)
-            with self._lock:
-                self._outstanding.pop(job.id, None)
-                self._dec_inflight_locked(job.key)
-            job.cache_hit = bool(info.get("cache_hit", False))
-            if status == "done":
-                job._resolve(payload)
-            else:
-                job._fail(payload)
+            if outcome is not None:
+                self._settle(job, inner, shard, outcome)
 
     def _sync_stolen(self, job: FleetJob) -> None:
         """Copy a stolen key's stored result back to its home shard,
@@ -458,34 +521,35 @@ class FleetRouter:
         for job in jobs:
             if job.done():
                 continue
+            error: Optional[BaseException] = None
             for _attempt in range(50):
                 try:
                     with self._lock:
                         if self._stopping:
-                            job._fail(RuntimeError(
-                                "fleet router shut down during reroute"
-                            ))
-                            break
-                        self._dispatch_locked(job)
-                    with self._lock:
+                            break  # shutdown fails every outstanding job
+                        shard, inner = self._dispatch_locked(job)
                         self._counters["rerouted_jobs"] += 1
-                    break
                 except QueueFull as exc:
                     time.sleep(
                         min(max(exc.retry_after_s, 0.01), 0.25)
                     )
+                    continue
                 except LookupError:
-                    job._fail(RuntimeError(
-                        "no live shards left to run the job"
-                    ))
-                    break
+                    error = RuntimeError("no live shards left to run the job")
                 except Exception as exc:
-                    job._fail(exc)
-                    break
+                    error = exc
+                else:
+                    self._watch(job, shard, inner)
+                break
             else:
-                job._fail(RuntimeError(
+                error = RuntimeError(
                     "could not reroute the job (shards at capacity)"
-                ))
+                )
+            if error is not None:
+                with self._lock:
+                    claimed = self._claim_locked(job)
+                if claimed:
+                    job._fail(error)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -3,18 +3,20 @@
 A shard is one :class:`~repro.serve.ExperimentService` with its own
 store root, write-ahead journal, and heartbeat file under a private
 directory.  The router talks to shards through a small handle
-interface — submit / poll / depth / alive / restart — with two
-implementations:
+interface — submit / poll or watch / depth / alive / restart — with
+two implementations:
 
 * :class:`LocalShard` embeds the service in-process (threads): no
   spawn cost, exact depth reads, the mode the throughput demo and
-  most tests use.
+  most tests use.  It *pushes* each resolution to the router through
+  the service job's done callback (:meth:`LocalShard.watch`), so
+  nothing polls it.
 * :class:`ProcessShard` spawns ``repro serve --jobdir <dir>`` and
   speaks the filejob directory protocol to it: real process isolation,
   liveness judged from the PR 8 heartbeat file, and SIGKILL-able for
   chaos tests.  Its submission handles are request ids, which survive
   a shard restart — the replacement server's journal recovery rewrites
-  the result files, so the router just keeps polling.
+  the result files, so the router's collector just keeps polling.
 
 Either way the shard directory layout is the ``repro serve`` one
 (``queue/``, ``results/``, ``journal.jsonl``, ``heartbeat.json``,
@@ -46,6 +48,10 @@ class ShardHandle:
     #: shards poll result files that journal recovery regenerates;
     #: local shards hand out in-memory jobs that die with the service)
     persistent_handles = False
+
+    #: whether resolutions arrive through :meth:`watch` callbacks
+    #: (local shards) rather than from the router polling :meth:`poll`
+    pushes = False
 
     def __init__(self, name: str, root):
         self.name = name
@@ -97,6 +103,7 @@ class LocalShard(ShardHandle):
     """One in-process ExperimentService under the shard directory."""
 
     kind = "local"
+    pushes = True
 
     def __init__(
         self,
@@ -136,6 +143,12 @@ class LocalShard(ShardHandle):
         return self.service.submit(
             spec, priority=priority, client=client, deadline_s=deadline_s
         )
+
+    def watch(self, handle, fn) -> None:
+        """Call ``fn(outcome)`` once the job resolves, with the
+        :meth:`poll` triple; at once if it already has.  ``fn`` runs on
+        the resolving service thread, outside the service lock."""
+        handle.add_done_callback(lambda job: fn(self.poll(job)))
 
     def poll(self, handle) -> Optional[Tuple[str, object]]:
         """Resolution of one submitted job, or None while pending."""

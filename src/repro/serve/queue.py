@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "DeadlineExceeded",
+    "DoneCallbacks",
     "Job",
     "JobQueue",
     "JobState",
@@ -102,11 +103,17 @@ class Job:
     """One admitted experiment submission; a waitable result handle.
 
     Clients receive a Job from
-    :meth:`~repro.serve.ExperimentService.submit` and call
-    :meth:`result` to block until the report is ready.  Duplicate
+    :meth:`~repro.serve.ExperimentService.submit` and either call
+    :meth:`result` to block until the report is ready or register
+    :meth:`add_done_callback` to be pushed the resolution.  Duplicate
     in-flight submissions are **coalesced** onto the same Job
     (``waiters`` counts them), so every waiter observes the single
     execution's report bit-identically.
+
+    The service resolves a job under its lock but runs the callbacks
+    only after releasing it (:meth:`_run_callbacks`), so a callback
+    may take the service lock, or a lock held by a thread that is
+    itself waiting for the service lock, without deadlocking.
     """
 
     def __init__(
@@ -145,11 +152,19 @@ class Job:
         self._event = threading.Event()
         self._report = None
         self._error: Optional[BaseException] = None
+        self._callbacks = DoneCallbacks(self)
 
     # -- client side --------------------------------------------------------
     def done(self) -> bool:
         """True once the job has a report or a failure."""
         return self._event.is_set()
+
+    def add_done_callback(self, fn: Callable[["Job"], None]) -> None:
+        """Call ``fn(job)`` once the job is resolved; at once if it
+        already is.  ``fn`` runs exactly once, on the thread that
+        resolved the job (or this one), never under the service lock;
+        an exception it raises is swallowed."""
+        self._callbacks.add(fn)
 
     def result(self, timeout: Optional[float] = None):
         """Block until resolved; the RunReport, or raises the failure.
@@ -205,11 +220,55 @@ class Job:
         self._error = error
         self._event.set()
 
+    def _run_callbacks(self) -> None:
+        """Run the callbacks of a resolved job; the service calls this
+        after releasing its lock (a no-op when none are pending)."""
+        self._callbacks.run()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Job {self.id} {self.state.value} client={self.client!r} "
             f"key={self.key[:8]}>"
         )
+
+
+class DoneCallbacks:
+    """Exactly-once done callbacks of one future-like handle.
+
+    ``owner`` resolves by setting its ``_event``; :meth:`run` is then
+    called once the resolver holds no lock.  A callback added after the
+    event is set runs at once in the adding thread, so one added
+    between the resolution and :meth:`run` is not lost, and its own
+    small lock ensures no callback runs twice.
+    """
+
+    __slots__ = ("_owner", "_lock", "_pending")
+
+    def __init__(self, owner):
+        self._owner = owner
+        self._lock = threading.Lock()
+        self._pending: List[Callable] = []
+
+    def add(self, fn: Callable) -> None:
+        """Queue ``fn(owner)``, or call it now if already resolved."""
+        with self._lock:
+            if not self._owner._event.is_set():
+                self._pending.append(fn)
+                return
+        self._call(fn)
+
+    def run(self) -> None:
+        """Call every queued callback once (after the resolution)."""
+        with self._lock:
+            pending, self._pending = self._pending, []
+        for fn in pending:
+            self._call(fn)
+
+    def _call(self, fn: Callable) -> None:
+        try:
+            fn(self._owner)
+        except Exception:  # noqa: BLE001 - a waiter's fault, not ours
+            pass
 
 
 class JobQueue:

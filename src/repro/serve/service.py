@@ -309,7 +309,8 @@ class ExperimentService:
         now = time.monotonic()  # wall-clock-ok: host-side telemetry only
         clean = True
         with self._lock:
-            for job in self._queue.drain_pending():
+            dropped = self._queue.drain_pending()
+            for job in dropped:
                 self._inflight.pop(job.key, None)
                 self._metrics.failed += 1
                 clean = False
@@ -323,6 +324,8 @@ class ExperimentService:
                 )
             clean = clean and not self._inflight
             self._idle.notify_all()
+        for job in dropped:
+            job._run_callbacks()
         self._discard_pool()
         if self._journal is not None and clean:
             # nothing unresolved: shrink the journal to its quarantine set
@@ -685,12 +688,14 @@ class ExperimentService:
             with self._lock:
                 while not self._stopping and self._queue.depth == 0:
                     self._idle.notify_all()
-                    self._work.wait(timeout=0.05)
+                    # every producer of queued work notifies _work
+                    self._work.wait()
                 if self._stopping:
                     self._idle.notify_all()
                     return
                 now = time.monotonic()  # wall-clock-ok: host-side telemetry only
-                for job in self._queue.pop_expired(now):
+                expired = self._queue.pop_expired(now)
+                for job in expired:
                     # expired in the queue: fail fast, never dispatch
                     self._inflight.pop(job.key, None)
                     self._metrics.deadline_misses += 1
@@ -702,8 +707,6 @@ class ExperimentService:
                         for seq in job.journal_seqs:
                             self._journal.record_failed(seq, str(error))
                     job._fail(error, now)
-                if self._queue.depth == 0:
-                    continue
                 batch = self._queue.pop_batch(self._batch_size())
                 now = time.monotonic()  # wall-clock-ok: host-side telemetry only
                 for job in batch:
@@ -714,7 +717,12 @@ class ExperimentService:
                         for seq in job.journal_seqs:
                             self._journal.record_dispatched(seq)
                 self._running_jobs = len(batch)
-                self._metrics.batches += 1
+                if batch:
+                    self._metrics.batches += 1
+            for job in expired:
+                job._run_callbacks()
+            if not batch:
+                continue
             try:
                 self._execute_batch(batch)
             finally:
@@ -851,6 +859,7 @@ class ExperimentService:
         tb: Optional[str] = None,
     ) -> None:
         now = time.monotonic()  # wall-clock-ok: host-side telemetry only
+        quarantined = []
         with self._lock:
             for job in batch:
                 job.retries += 1
@@ -861,11 +870,14 @@ class ExperimentService:
                         tb=tb,
                         now=now,
                     )
+                    quarantined.append(job)
                 else:
                     job.isolate = True  # next attempt runs alone
                     self._metrics.requeued += 1
                     self._queue.requeue(job)
             self._work.notify_all()
+        for job in quarantined:
+            job._run_callbacks()
 
     def _quarantine(
         self,
@@ -874,7 +886,10 @@ class ExperimentService:
         tb: Optional[str] = None,
         now: Optional[float] = None,
     ) -> None:
-        """Trip the circuit breaker: fail the job, remember the key."""
+        """Trip the circuit breaker: fail the job, remember the key.
+
+        Called under the lock; the caller runs the job's callbacks
+        once it has released it."""
         if now is None:
             now = time.monotonic()  # wall-clock-ok: host-side telemetry only
         error = PoisonJobError(job.id, job.key, reason)
@@ -898,6 +913,7 @@ class ExperimentService:
             self._metrics.run.record(job.run_s)
             self._metrics.executed += 1
             self._metrics.completed += 1
+        job._run_callbacks()
 
     def _finish_failed(self, job: Job, error: BaseException) -> None:
         now = time.monotonic()  # wall-clock-ok: host-side telemetry only
@@ -908,6 +924,7 @@ class ExperimentService:
                     self._journal.record_failed(seq, str(error))
             job._fail(error, now)
             self._metrics.failed += 1
+        job._run_callbacks()
 
     # -- heartbeat -----------------------------------------------------------
     def _heartbeat_digest(self) -> dict:

@@ -317,6 +317,191 @@ def test_router_rejects_duplicate_shard_names(tmp_path):
         FleetRouter([])
 
 
+# -- push resolution ---------------------------------------------------------
+
+
+def _spec_homed_on(ring, shard_name, start=10):
+    """The first spec (by step count) whose ring home is ``shard_name``."""
+    step = start
+    while ring.route(cache_key(spec(steps=step))) != shard_name:
+        step += 1
+    return spec(steps=step)
+
+
+def test_fleet_job_callback_fires_once_and_at_once_when_late(tmp_path):
+    shards = [LocalShard(f"s{i}", tmp_path / f"s{i}") for i in range(2)]
+    with FleetRouter(shards, steal_threshold=None) as router:
+        job = router.submit(spec(steps=4))
+        calls, finished = [], threading.Event()
+        job.add_done_callback(lambda j: (calls.append(j), finished.set()))
+        assert finished.wait(timeout=30)
+        assert job.result(timeout=0).total_runtime > 0
+        assert router.drain(timeout=30)
+        assert calls == [job]
+        late = []
+        job.add_done_callback(late.append)
+        assert late == [job]  # already resolved: fires synchronously
+        assert calls == [job]
+
+
+def test_coalesced_fleet_jobs_all_resolve_by_push(tmp_path):
+    engine = _SleepEngine(delay_s=0.05)
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", engine=engine)
+        for i in range(2)
+    ]
+    with FleetRouter(shards, steal_threshold=None) as router:
+        assert router._collector is None  # local shards are never polled
+        jobs = [router.submit(spec(steps=6), client=f"c{i}")
+                for i in range(4)]
+        assert sum(j.coalesced for j in jobs) == 3
+        fired = []
+        for job in jobs:
+            job.add_done_callback(fired.append)
+        assert router.drain(timeout=30)
+        assert sorted(j.id for j in fired) == sorted(j.id for j in jobs)
+        assert len({canon(j.result(timeout=0)) for j in jobs}) == 1
+    assert len(engine.executed) == 1
+
+
+def test_stolen_result_syncs_home_before_the_fleet_job_resolves(tmp_path):
+    engine = _SleepEngine(delay_s=0.1)
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", engine=engine)
+        for i in range(2)
+    ]
+    with FleetRouter(shards, steal_threshold=2, steal_margin=2) as router:
+        ring = router._ring
+        home = ring.route(cache_key(spec(steps=10)))
+        skewed, step = [], 10
+        while len(skewed) < 6:
+            s = spec(steps=step)
+            if ring.route(cache_key(s)) == home:
+                skewed.append(s)
+            step += 1
+        redo, lock = [], threading.Lock()
+
+        def resubmit_at_once(job):
+            # runs the moment the stolen job resolves, on the thief's
+            # scheduler thread: the home store must already hold it
+            again = router.submit(job.spec)
+            with lock:
+                redo.append(again)
+
+        jobs = [router.submit(s) for s in skewed]
+        stolen = [j for j in jobs if j.stolen]
+        assert stolen, "deep home backlog should overflow to the light shard"
+        for job in stolen:
+            job.add_done_callback(resubmit_at_once)
+        for job in jobs:
+            job.result(timeout=60)
+        assert router.drain(timeout=30)
+        assert len(redo) == len(stolen)
+        for again in redo:
+            again.result(timeout=30)
+            assert again.shard == home
+            assert again.cache_hit
+        assert router.metrics_snapshot()["router"]["synced"] == len(stolen)
+    assert len(engine.executed) == len(skewed)
+
+
+def test_late_callback_from_a_failed_shard_does_not_resolve_rerouted_job(
+    tmp_path, monkeypatch
+):
+    watched = []
+    real_watch = LocalShard.watch
+
+    def spy(self, handle, fn):
+        watched.append((self.name, handle, fn))
+        real_watch(self, handle, fn)
+
+    monkeypatch.setattr(LocalShard, "watch", spy)
+    # neither scheduler runs until the test says so, and the monitor
+    # never fires on its own: shard death is driven by hand
+    shards = [
+        LocalShard(name, tmp_path / name, autostart=False)
+        for name in ("a", "b")
+    ]
+    router = FleetRouter(
+        shards, steal_threshold=None, restart_limit=0,
+        monitor_interval_s=60.0,
+    ).start()
+    try:
+        job = router.submit(_spec_homed_on(router._ring, "a"))
+        assert job.shard == "a"
+        [(_, dead_inner, dead_callback)] = watched
+        victim = router.shard("a")
+        victim.fail()  # fails the queued inner job: a dead shard's error
+        assert dead_inner.done() and not job.done()
+        router._handle_death("a", victim)  # detach + reroute to "b"
+        assert job.shard == "b" and job.inner is not dead_inner
+        # a late resolution of the dead shard's handle changes nothing
+        dead_callback(("done", None, {"cache_hit": True}))
+        dead_callback(("failed", RuntimeError("late"), {}))
+        assert not job.done()
+        assert router.outstanding() == 1
+        router.shard("b").service.start()
+        report = job.result(timeout=30)
+        assert canon(report) == canon(Engine().run(job.spec))
+        assert not job.cache_hit
+        assert router.drain(timeout=30)
+    finally:
+        router.shutdown(drain=False)
+
+
+def test_failed_reroute_resolves_the_job_and_lets_the_fleet_drain(tmp_path):
+    shards = [LocalShard("only", tmp_path / "only", autostart=False)]
+    router = FleetRouter(
+        shards, restart_limit=0, monitor_interval_s=60.0
+    ).start()
+    try:
+        job = router.submit(spec(steps=5))
+        victim = router.shard("only")
+        victim.fail()
+        router._handle_death("only", victim)  # no shard left to take it
+        with pytest.raises(RuntimeError, match="no live shards"):
+            job.result(timeout=5)
+        assert router.outstanding() == 0
+        assert router.drain(timeout=1)
+    finally:
+        router.shutdown(drain=False)
+
+
+def test_idle_local_fleet_wakes_no_thread_faster_than_its_periods(
+    tmp_path, monkeypatch
+):
+    period = 0.25  # monitor and heartbeat period
+    window = 1.0
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", heartbeat_interval_s=period)
+        for i in range(2)
+    ]
+    wakes, timeouts, guard = {}, [], threading.Lock()
+    real_wait = threading.Condition.wait
+
+    def counting_wait(self, timeout=None):
+        me = threading.current_thread()
+        if me.name.startswith("repro-"):
+            with guard:
+                wakes[me.ident] = wakes.get(me.ident, 0) + 1
+                timeouts.append(timeout)
+        return real_wait(self, timeout)
+
+    with FleetRouter(
+        shards, steal_threshold=None, monitor_interval_s=period
+    ) as router:
+        router.submit(spec(steps=3)).result(timeout=30)
+        assert router.drain(timeout=30)
+        names = {t.name for t in threading.enumerate()}
+        assert "repro-fleet-collector" not in names
+        monkeypatch.setattr(threading.Condition, "wait", counting_wait)
+        time.sleep(window)
+        monkeypatch.undo()
+    # Event.wait and Condition.wait_for both go through Condition.wait
+    assert all(t is None or t >= period for t in timeouts), timeouts
+    assert wakes and max(wakes.values()) <= window / period + 1, wakes
+
+
 # -- front end + client ------------------------------------------------------
 
 
@@ -367,6 +552,85 @@ def test_front_end_two_phase_submit_and_errors(tmp_path):
                 assert "bad spec" in recv_frame(sock)["error"]
             finally:
                 sock.close()
+
+
+def _stalled_fleet(tmp_path):
+    """A 1-shard fleet whose scheduler is not running: jobs stay
+    unresolved until the test starts it (the monitor never fires)."""
+    shards = [LocalShard("stall", tmp_path / "stall", autostart=False)]
+    return FleetRouter(shards, monitor_interval_s=60.0).start()
+
+
+def test_wait_timeout_is_measured_in_real_time_and_retryable(tmp_path):
+    router = _stalled_fleet(tmp_path)
+    try:
+        with FleetFrontEnd(router) as front:
+            sock = socket.create_connection(("127.0.0.1", front.port), 5)
+            sock.settimeout(10)
+            try:
+                t0 = time.monotonic()
+                send_frame(sock, {"op": "submit",
+                                  "spec": spec(steps=7).to_dict(),
+                                  "timeout_s": 0.2})
+                reply = recv_frame(sock)
+                elapsed = time.monotonic() - t0
+                assert not reply["ok"] and reply["error"] == "timeout"
+                assert 0.2 <= elapsed < 1.0
+                send_frame(sock, {"op": "submit",
+                                  "spec": spec(steps=8).to_dict(),
+                                  "wait": False})
+                ack = recv_frame(sock)
+                send_frame(sock, {"op": "wait", "id": ack["id"],
+                                  "timeout_s": 0.2})
+                assert recv_frame(sock)["error"] == "timeout"
+                # the timed-out wait left the job waitable: retry it
+                router.shard("stall").service.start()
+                send_frame(sock, {"op": "wait", "id": ack["id"]})
+                result = recv_frame(sock)
+                assert result["ok"] and result["status"] == "done"
+            finally:
+                sock.close()
+    finally:
+        router.shutdown(drain=False)
+
+
+def test_resolution_after_the_front_end_stopped_raises_nothing(
+    tmp_path, monkeypatch
+):
+    # the job's callback runner would swallow an escaping error, so spy
+    # on the front end's own callback to see that it raises nothing
+    wakes = []
+    real_wake = FleetFrontEnd._wake_threadsafe
+
+    def spy(self, loop, job_id, future):
+        try:
+            real_wake(self, loop, job_id, future)
+        except BaseException as exc:  # noqa: BLE001 - recorded, asserted
+            wakes.append(exc)
+            raise
+        wakes.append(loop.is_closed())
+
+    monkeypatch.setattr(FleetFrontEnd, "_wake_threadsafe", spy)
+    router = _stalled_fleet(tmp_path)
+    try:
+        front = FleetFrontEnd(router).start()
+        sock = socket.create_connection(("127.0.0.1", front.port), 5)
+        try:
+            send_frame(sock, {"op": "submit",
+                              "spec": spec(steps=9).to_dict()})
+            deadline = time.monotonic() + 10
+            while not front._futures:  # the wait is parked on its future
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            [job] = list(router._outstanding.values())
+            front.stop()
+        finally:
+            sock.close()
+    finally:
+        router.shutdown(drain=False)  # resolves the job: loop is gone
+    with pytest.raises(RuntimeError, match="shut down"):
+        job.result(timeout=0)
+    assert wakes == [True]  # called on a closed loop, raised nothing
 
 
 def test_client_backs_off_on_queue_full(tmp_path):

@@ -244,6 +244,124 @@ def test_broken_pool_beyond_max_retries_fails_the_job():
         svc.shutdown()
 
 
+# -- service: done callbacks -------------------------------------------------
+
+
+def test_done_callback_fires_once():
+    svc = ExperimentService(workers=1, autostart=False)
+    try:
+        job = svc.submit(spec(steps=3))
+        calls = []
+        job.add_done_callback(calls.append)
+        assert calls == []  # pending: nothing fires yet
+        svc.drain(timeout=30)
+        assert calls == [job]
+        job._run_callbacks()  # a second flush is a no-op
+        assert calls == [job]
+    finally:
+        svc.shutdown()
+
+
+def test_done_callback_added_after_resolution_fires_at_once():
+    svc = ExperimentService(workers=1, autostart=False)
+    try:
+        job = svc.submit(spec(steps=3))
+        svc.drain(timeout=30)
+        calls = []
+        job.add_done_callback(calls.append)
+        assert calls == [job]  # synchronously, in this thread
+    finally:
+        svc.shutdown()
+
+
+def test_coalesced_waiters_all_get_their_callback():
+    svc = ExperimentService(workers=1, autostart=False)
+    try:
+        calls = []
+        jobs = [svc.submit(spec(steps=4), client=f"c{i}") for i in range(3)]
+        for i, job in enumerate(jobs):
+            job.add_done_callback(lambda j, i=i: calls.append((i, j)))
+        svc.drain(timeout=30)
+        assert sorted(i for i, _ in calls) == [0, 1, 2]
+        assert all(j is jobs[0] and j.done() for _, j in calls)
+        assert svc.metrics_snapshot()["coalesced"] == 2
+    finally:
+        svc.shutdown()
+
+
+@pytest.mark.parametrize(
+    "path", ["done", "failed", "deadline", "quarantine", "shutdown"]
+)
+def test_done_callback_runs_outside_the_service_lock(path):
+    # each resolution path resolves under the service lock; its
+    # callbacks must run after the lock is released, or a callback
+    # waiting on another thread that needs the lock (the router's lock
+    # order) deadlocks.  Every wait below is bounded, so a callback run
+    # under the lock fails the test instead of hanging it.
+    engine = _FlakyEngine(crashes=10 if path == "quarantine" else 0)
+    svc = ExperimentService(
+        engine=engine, workers=1, max_retries=0, autostart=False
+    )
+    submitted = {
+        "done": spec(steps=3),
+        "failed": spec(steps=3, machine_overrides={"bogus_kw": 1}),
+        "deadline": spec(steps=3),
+        "quarantine": spec(steps=3),
+        "shutdown": spec(steps=3),
+    }[path]
+    job = svc.submit(
+        submitted, deadline_s=0.0 if path == "deadline" else None
+    )
+    seen, lock_free, finished = [], [], threading.Event()
+
+    def on_done(_job):
+        helper = threading.Thread(
+            target=lambda: seen.append(svc.metrics_snapshot())
+        )
+        helper.start()
+        helper.join(timeout=5)
+        lock_free.append(not helper.is_alive())
+        finished.set()
+
+    job.add_done_callback(on_done)
+    if path == "shutdown":
+        svc.shutdown(drain=False)
+    else:
+        svc.start()
+        assert svc.drain(timeout=30)
+    try:
+        assert finished.wait(timeout=30)
+        assert job.exception(timeout=0) is not None or path == "done"
+        assert lock_free == [True]
+        assert seen and seen[0]["completed"] + seen[0]["failed"] == 1
+    finally:
+        svc.shutdown(drain=False)
+
+
+def test_raising_callback_does_not_kill_the_scheduler():
+    svc = ExperimentService(workers=1)
+    try:
+        first = svc.submit(spec(steps=3))
+
+        def boom(_job):
+            raise RuntimeError("callback bug")
+
+        first.add_done_callback(boom)
+        assert first.result(timeout=30).total_runtime > 0
+        svc.drain(timeout=30)
+        assert svc.started
+        second = svc.submit(spec(steps=4))
+        calls = []
+        second.add_done_callback(calls.append)
+        assert second.result(timeout=30).total_runtime > 0
+        assert svc.drain(timeout=30)
+        assert calls == [second]
+        # attached after resolution, a raising callback stays contained
+        second.add_done_callback(boom)
+    finally:
+        svc.shutdown()
+
+
 # -- service: concurrency and the acceptance demo ----------------------------
 
 
