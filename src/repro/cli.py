@@ -54,7 +54,6 @@ from .engine import (
     SweepReport,
 )
 from .report import report_from_dict
-from .sim import BACKENDS as SIM_BACKENDS
 from .bench import (
     FIG78_STEPS,
     fig3_series,
@@ -388,7 +387,6 @@ def _spec_from_args(args) -> ExperimentSpec:
         seed=args.seed,
         trace=getattr(args, "trace", False)
         or bool(getattr(args, "chrome_trace", None)),
-        sim_backend=getattr(args, "sim_backend", None),
         malleability=(
             {"enabled": True}
             if getattr(args, "malleable", False)
@@ -478,11 +476,7 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"bad sweep axis: {exc}") from None
     if not modes or not nodes:
         raise ValueError("sweep needs at least one mode and one node count")
-    session = Session(
-        cache=getattr(args, "cache", None),
-        workers=args.workers,
-        sim_backend=getattr(args, "sim_backend", None),
-    )
+    session = Session(cache=getattr(args, "cache", None), workers=args.workers)
     specs = session.specs(
         base=dict(
             preset=args.preset,
@@ -632,11 +626,7 @@ def cmd_tune(args) -> str:
     except ValueError as exc:
         raise ValueError(f"bad --nodes list: {exc}") from None
     space = TuneSpace(node_counts=node_counts)
-    session = Session(
-        cache=args.cache,
-        workers=args.workers,
-        sim_backend=getattr(args, "sim_backend", None),
-    )
+    session = Session(cache=args.cache, workers=args.workers)
     report = session.tune(
         space=space,
         nested=getattr(args, "nested", False),
@@ -779,19 +769,7 @@ def cmd_serve(args) -> str:
             args.jobdir,
             stale_after_s=getattr(args, "stale_after_s", None) or 30.0,
         )
-    if getattr(args, "sim_backend", None):
-        # submitted specs carry their own sim_backend; this sets the
-        # default for the ones that do not (workers inherit the env)
-        import os
-
-        from .sim import BACKEND_ENV_VAR
-
-        os.environ[BACKEND_ENV_VAR] = args.sim_backend
-    session = Session(
-        cache=getattr(args, "cache", None),
-        workers=args.workers,
-        sim_backend=getattr(args, "sim_backend", None),
-    )
+    session = Session(cache=getattr(args, "cache", None), workers=args.workers)
     jobdir = Path(args.jobdir).expanduser()
     durable = not getattr(args, "no_journal", False)
     service = session.serve(
@@ -1302,16 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of archived benchmark tables to compose "
         "(default: benchmarks/_results of the source checkout)",
     )
-    def add_backend_arg(sp) -> None:
-        """The event-queue backend flag every run-shaped command takes."""
-        sp.add_argument(
-            "--sim-backend",
-            default=None,
-            choices=sorted(SIM_BACKENDS),
-            help="event-queue backend (default: REPRO_SIM_BACKEND or "
-            "heap); backends are bit-identical, only throughput differs",
-        )
-
     def add_spec_args(sp) -> None:
         """The one-experiment spec flags `run` and `submit` share."""
         sp.add_argument(
@@ -1380,7 +1348,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--json", metavar="FILE", default=None,
             help="write the RunReport JSON",
         )
-        add_backend_arg(sp)
 
     rn = sub.add_parser(
         "run", help="run one instrumented experiment through the engine"
@@ -1492,7 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="watchdog bound on one batch's wall-time [s]; a hung "
         "batch recycles the pool and isolates its jobs (default: none)",
     )
-    add_backend_arg(sv)
     sb = sub.add_parser(
         "submit",
         help="submit one experiment request to a running `repro serve`",
@@ -1587,7 +1553,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="memoize every run in a content-addressed result store",
     )
-    add_backend_arg(sw)
     tn = sub.add_parser(
         "tune",
         help="autotune the Cluster/Booster partition (model-seeded "
@@ -1665,7 +1630,6 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument(
         "--json", metavar="FILE", default=None, help="write TuneReport JSON"
     )
-    add_backend_arg(tn)
     bn = sub.add_parser(
         "bench",
         help="run + archive the throughput microbenchmarks, then apply "

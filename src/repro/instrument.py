@@ -62,15 +62,12 @@ class MetricsHub:
 
     # -- per-layer snapshots ----------------------------------------------
     def sim_metrics(self) -> dict:
-        """Simulator counters: event volume, queue depth, host time,
-        and the event-queue backend's batch/occupancy figures.
+        """Simulator counters: event volume, queue depth, host time
+        and the batch figures of the run loop.
 
         Everything except ``wall_time_s``/``events_per_sec`` (host
-        timing) and the ``backend`` block (queue-implementation
-        identity) is bit-identical across backends for the same run —
-        the determinism contract the differential tests enforce.  The
-        batch histogram *is* part of the identical set: both backends
-        group co-temporal events the same way.
+        timing) is deterministic: the same run reports the same
+        counters and the same batch histogram.
         """
         if self.sim is None:
             return {}
@@ -87,10 +84,6 @@ class MetricsHub:
             "batches": self.sim.batches,
             "max_batch": self.sim.max_batch,
             "batch_size_hist": self.sim.batch_size_hist(),
-            "backend": {
-                "name": self.sim.backend,
-                "queue": self.sim.queue_stats(),
-            },
         }
 
     def network_metrics(self) -> dict:

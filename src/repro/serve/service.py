@@ -222,11 +222,6 @@ class ExperimentService:
         return self._workers
 
     @property
-    def queue_depth(self) -> int:
-        """Jobs currently pending in the bounded queue."""
-        return self._queue.depth
-
-    @property
     def in_flight(self) -> int:
         """Jobs admitted but not yet resolved (queued + running)."""
         with self._lock:
@@ -586,7 +581,10 @@ class ExperimentService:
         spec = ExperimentSpec.from_dict(rec.spec)
         now = time.monotonic()  # wall-clock-ok: host-side telemetry only
         with self._lock:
-            key = rec.key or (
+            # not rec.key: a journal written by an older version holds
+            # keys under that version's salt, which a fresh submit of
+            # the same spec would never coalesce with
+            key = (
                 self._cache.key_for(spec)
                 if self._cache is not None
                 else cache_key(spec)

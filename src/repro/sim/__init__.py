@@ -8,15 +8,7 @@ virtual clock through a priority queue.  All times are in **seconds**.
 from .core import Simulator, StopSimulation
 from .events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
 from .process import Process
-from .queues import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    DEFAULT_BACKEND,
-    CalendarEventQueue,
-    EmptyQueue,
-    HeapEventQueue,
-    resolve_backend,
-)
+from .queues import EmptyQueue, HeapEventQueue
 from .resources import NO_ITEM, Request, Resource, Store
 from .trace import Interval, Tracer
 
@@ -25,11 +17,6 @@ __all__ = [
     "StopSimulation",
     "EmptyQueue",
     "HeapEventQueue",
-    "CalendarEventQueue",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "resolve_backend",
     "Event",
     "Timeout",
     "Condition",

@@ -1,15 +1,11 @@
-"""The discrete-event simulator core: clock, pluggable queue, run loop.
+"""The discrete-event simulator core: clock, event queue, run loop.
 
-The simulator owns the virtual clock and delegates event storage to a
-pluggable :mod:`~repro.sim.queues` backend (``"heap"`` — the reference
-binary heap — or ``"calendar"`` — a timestamp-bucketed scheduler that
-amortizes heap churn over co-temporal events).  The run loop is
+The simulator owns the virtual clock and keeps future events in a
+:class:`~repro.sim.queues.HeapEventQueue`.  The run loop is
 batch-oriented: every event scheduled at the next timestamp is dequeued
-in one ``pop_batch`` and dispatched back-to-back, which both backends
-order identically (ascending time, FIFO among equal times), so a run is
-event-for-event and timestamp-identical regardless of backend.  Entries
-due at the current time bypass the backend through the same-time lane
-(see :class:`Simulator`).
+in one ``pop_batch`` and dispatched back-to-back in ascending time,
+FIFO among equal times.  Entries due at the current time bypass the
+heap through the same-time lane (see :class:`Simulator`).
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from typing import Any, Generator, Optional
 
 from .events import Event, Timeout, _Wakeup
 from .process import Process
-from .queues import EmptyQueue, make_queue
+from .queues import EmptyQueue, HeapEventQueue
 
 __all__ = ["Simulator", "StopSimulation", "EmptyQueue"]
 
@@ -34,22 +30,16 @@ class Simulator:
     Time is a float in **seconds** by convention throughout this project
     (network latencies are therefore around ``1e-6``).
 
-    ``backend`` selects the event-queue implementation (``"heap"`` or
-    ``"calendar"``; ``None`` consults the ``REPRO_SIM_BACKEND``
-    environment variable, defaulting to the heap).  Backends are
-    bit-identical: same event order, same timestamps, same results —
-    only the host-side throughput differs.
-
-    Entries scheduled for the current time skip the backend: they go to
-    a plain list, the *same-time lane*, which the run loop hands out as
-    the next batch before it asks the backend.  Once the batch at time
-    T is popped the backend holds nothing at T, so every later entry at
-    T is in the lane in insertion order — exactly the order the backend
-    would produce.
+    Entries scheduled for the current time skip the heap: they go to a
+    plain list, the *same-time lane*, which the run loop hands out as
+    the next batch before it asks the heap.  Once the batch at time T
+    is popped the heap holds nothing at T, so every later entry at T is
+    in the lane in insertion order — exactly the order the heap would
+    produce.
 
     Typical use::
 
-        sim = Simulator()                      # or backend="calendar"
+        sim = Simulator()
 
         def proc(sim):
             yield sim.timeout(1.0)
@@ -60,11 +50,9 @@ class Simulator:
         assert p.value == 42
     """
 
-    def __init__(self, start_time: float = 0.0, backend: Optional[str] = None):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue = make_queue(backend)
-        #: resolved name of the event-queue backend in use
-        self.backend: str = self._queue.name
+        self._queue = HeapEventQueue()
         # the same-time lane: entries scheduled at exactly ``_now``
         self._lane: list = []
         # batch in flight: entries popped by step() but not yet
@@ -188,16 +176,11 @@ class Simulator:
         """Entries still owed to the run loop (queued + lane + in-flight)."""
         return self._queue.count + len(self._lane) + self._draining
 
-    def queue_stats(self) -> dict:
-        """Backend-specific queue occupancy figures (see the backend's
-        ``stats()``; empty for the heap)."""
-        return self._queue.stats()
-
     def batch_size_hist(self) -> dict:
         """Histogram of dequeued batch sizes, power-of-two binned.
 
         Keys are bin labels (``"1"``, ``"2-3"``, ``"4-7"``, ...), values
-        are batch counts; identical across backends for the same run.
+        are batch counts.
         """
         multi = sum(self._batch_hist.values())
         hist = {}
@@ -222,7 +205,7 @@ class Simulator:
         return self._queue.peek()
 
     def _pop_batch(self):
-        """Dequeue the next batch (the lane first, else the backend's
+        """Dequeue the next batch (the lane first, else the heap's
         next timestamp), advancing the clock and the batch metrics."""
         batch = self._lane
         if batch:

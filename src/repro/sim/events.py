@@ -6,12 +6,12 @@ condition that is *triggered* (scheduled) and later *processed* (its
 callbacks run at its scheduled simulation time).  Processes (see
 :mod:`repro.sim.process`) are generators that suspend by yielding events.
 
-All hot-path primitives here are slotted: the scheduler backends
-(:mod:`repro.sim.queues`) move these objects through buckets and batches
-by the million, so they carry no ``__dict__`` and the pooled fast-path
-entries (:class:`_Wakeup`) are reused across yields.  Events scheduled
-for the same timestamp are dispatched as one batch in FIFO insertion
-order, whichever backend is active.
+All hot-path primitives here are slotted: the event queue
+(:mod:`repro.sim.queues`) and the same-time lane move these objects
+through batches by the million, so they carry no ``__dict__`` and the
+pooled fast-path entries (:class:`_Wakeup`) are reused across yields.
+Events scheduled for the same timestamp are dispatched as one batch in
+FIFO insertion order.
 """
 
 from __future__ import annotations

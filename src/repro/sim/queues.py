@@ -1,57 +1,23 @@
-"""Pluggable event-queue backends for the :class:`~repro.sim.Simulator`.
+"""The event queue behind the :class:`~repro.sim.Simulator`.
 
 The simulator's hot loop is, end to end, "push timestamped entries, pop
-them back in (time, FIFO) order".  This module isolates that concern
-behind a tiny interface — ``push`` / ``pop_batch`` / ``peek`` /
-``len()`` — so the scheduling data structure can be swapped at runtime
-without touching event or process semantics:
+them back in (time, FIFO) order".  :class:`HeapEventQueue` keeps that
+concern behind a tiny interface — ``push`` / ``pop_batch`` / ``peek`` /
+``len()`` — so the run loop never sees the ``(time, seq, entry)``
+tuples it stores.
 
-* :class:`HeapEventQueue` (``"heap"``) — the reference backend: one
-  binary heap of ``(time, seq, entry)`` tuples, exactly the classic
-  ``heapq`` event loop.
-* :class:`CalendarEventQueue` (``"calendar"``) — a bucketed scheduler
-  in the calendar-queue family: entries that share a timestamp live in
-  one append-ordered bucket and only the *distinct* timestamps go
-  through a heap.  Discrete-event workloads are extremely co-temporal
-  (every process woken by the same barrier, every same-instant fabric
-  wakeup), so the O(log n) heap churn is paid once per timestamp
-  instead of once per event, and a whole bucket is handed to the run
-  loop as one batch.
-
-Both backends deliver entries in exactly the same order — ascending
-time, FIFO among equal times — so a simulation replays event-for-event
-and timestamp-identical regardless of backend.  ``pop_batch`` returns
-*every* entry of the next timestamp at once (the batch-dequeue
-contract); entries scheduled **at** that same timestamp *while the
-batch executes* form a later batch, which preserves the global
-(time, insertion) order a one-at-a-time heap loop would produce.
-
-Backend selection: ``Simulator(backend="calendar")``, the
-``REPRO_SIM_BACKEND`` environment variable, or (highest in the stack)
-``ExperimentSpec(sim_backend=...)`` / the ``--sim-backend`` CLI flag.
+``pop_batch`` returns *every* entry of the next timestamp at once (the
+batch-dequeue contract); entries scheduled **at** that same timestamp
+*while the batch executes* form a later batch, which preserves the
+global (time, insertion) order a one-at-a-time heap loop would produce.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import List, Tuple
 
-__all__ = [
-    "EmptyQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "resolve_backend",
-    "make_queue",
-]
-
-#: environment variable consulted when no backend is passed explicitly
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: the backend used when neither argument nor environment selects one
-DEFAULT_BACKEND = "heap"
+__all__ = ["EmptyQueue", "HeapEventQueue", "resolve_backend"]
 
 
 class EmptyQueue(IndexError):
@@ -64,14 +30,11 @@ class EmptyQueue(IndexError):
 
 
 class HeapEventQueue:
-    """Reference backend: one binary heap of ``(time, seq, entry)``.
+    """One binary heap of ``(time, seq, entry)``.
 
     ``seq`` is a monotonically increasing tie-breaker, so entries that
-    share a timestamp pop in FIFO (insertion) order — the ordering
-    contract every backend must reproduce.
+    share a timestamp pop in FIFO (insertion) order.
     """
-
-    name = "heap"
 
     __slots__ = ("_heap", "_seq", "count")
 
@@ -115,109 +78,13 @@ class HeapEventQueue:
     def __len__(self) -> int:
         return self.count
 
-    def stats(self) -> dict:
-        """Backend-specific occupancy figures (none for the heap)."""
-        return {}
-
-
-class CalendarEventQueue:
-    """Bucketed backend: a dict of per-timestamp buckets plus a heap of
-    the distinct timestamps.
-
-    ``push`` appends to the bucket of its exact timestamp (creating it
-    — and registering the timestamp in the time heap — only on first
-    use), so co-temporal events cost one list append instead of one
-    heap sift each.  ``pop_batch`` pops the earliest timestamp and
-    returns its whole bucket; the append order *is* the FIFO order, so
-    no per-entry sequence numbers are needed at all.
-
-    A timestamp is registered in the heap exactly once per bucket
-    lifetime (buckets are popped wholesale), so the heap never holds
-    duplicates and its size tracks the number of distinct pending
-    times, not the number of pending entries.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("_buckets", "_times", "count", "peak_buckets")
-
-    def __init__(self):
-        self._buckets: dict = {}
-        self._times: List[float] = []
-        #: live entry count across all buckets
-        self.count = 0
-        #: high-water mark of distinct pending timestamps
-        self.peak_buckets = 0
-
-    def push(self, when: float, entry) -> None:
-        """Insert ``entry`` at time ``when`` (FIFO among equal times)."""
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [entry]
-            heappush(self._times, when)
-            n = len(self._times)
-            if n > self.peak_buckets:
-                self.peak_buckets = n
-        else:
-            bucket.append(entry)
-        self.count += 1
-
-    def pop_batch(self) -> Tuple[float, list]:
-        """Remove and return ``(when, entries)`` for the next timestamp.
-
-        Raises :class:`EmptyQueue` when idle.
-        """
-        times = self._times
-        if not times:
-            raise EmptyQueue("event queue is empty")
-        when = heappop(times)
-        batch = self._buckets.pop(when)
-        self.count -= len(batch)
-        return when, batch
-
-    def peek(self) -> float:
-        """Time of the next entry; raises :class:`EmptyQueue` when idle."""
-        times = self._times
-        if not times:
-            raise EmptyQueue("event queue is empty")
-        return times[0]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def stats(self) -> dict:
-        """Bucket occupancy: distinct pending times now and at peak."""
-        buckets = len(self._times)
-        return {
-            "buckets_now": buckets,
-            "peak_buckets": self.peak_buckets,
-            "mean_occupancy": (self.count / buckets) if buckets else 0.0,
-        }
-
-
-#: registry of selectable backends, by name
-BACKENDS = {
-    HeapEventQueue.name: HeapEventQueue,
-    CalendarEventQueue.name: CalendarEventQueue,
-}
-
 
 def resolve_backend(name=None) -> str:
-    """Resolve a backend name: explicit argument, else the
-    ``REPRO_SIM_BACKEND`` environment variable, else the default.
+    """Name of the event core: always ``"heap"``, the only one.
 
-    Raises :class:`ValueError` for names outside :data:`BACKENDS`.
+    Versions before 1.10 offered a choice of event-queue backend.
+    ``perfbench/run.py`` still records this value in the environment
+    block of every run, so the function stays and returns the constant;
+    ``name`` is ignored.
     """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown sim backend {name!r} (available: {sorted(BACKENDS)})"
-        )
-    return name
-
-
-def make_queue(name=None):
-    """Instantiate the event-queue backend ``name`` resolves to."""
-    return BACKENDS[resolve_backend(name)]()
+    return "heap"

@@ -64,6 +64,17 @@ def test_spec_dict_round_trip_with_config():
     assert back.config == cfg
 
 
+def test_spec_from_dict_drops_the_1_9_backend_key():
+    spec = ExperimentSpec(mode="cb", steps=7)
+    for value in (None, "heap", "calendar"):
+        legacy = dict(spec.to_dict(), sim_backend=value)
+        assert ExperimentSpec.from_dict(legacy) == spec
+    assert "sim_backend" not in spec.to_dict()
+    # any other unknown key still fails loudly
+    with pytest.raises(TypeError):
+        ExperimentSpec.from_dict(dict(spec.to_dict(), sim_wheel=None))
+
+
 def test_preset_machine_builds_through_spec_path():
     m = preset_machine(cluster_nodes=2, booster_nodes=2)
     assert len(m.cluster) == 2 and len(m.booster) == 2

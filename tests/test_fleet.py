@@ -554,6 +554,22 @@ def test_front_end_two_phase_submit_and_errors(tmp_path):
                 sock.close()
 
 
+def test_front_end_accepts_a_1_9_submit_message(tmp_path):
+    """Fleet clients of 1.9 send specs with ``"sim_backend": null``."""
+    shards = [LocalShard("s0", tmp_path / "s0")]
+    with FleetRouter(shards) as router:
+        with FleetFrontEnd(router) as front:
+            sock = socket.create_connection(("127.0.0.1", front.port), 5)
+            sock.settimeout(10)
+            try:
+                legacy = dict(spec(steps=5).to_dict(), sim_backend=None)
+                send_frame(sock, {"op": "submit", "spec": legacy})
+                reply = recv_frame(sock)
+                assert reply["ok"] and reply["status"] == "done"
+            finally:
+                sock.close()
+
+
 def _stalled_fleet(tmp_path):
     """A 1-shard fleet whose scheduler is not running: jobs stay
     unresolved until the test starts it (the monitor never fires)."""

@@ -486,6 +486,23 @@ def test_filejob_roundtrip_with_coalesce_and_cache(tmp_path):
     assert metrics["schema"] == SERVICE_METRICS_SCHEMA
 
 
+def test_filejob_accepts_a_1_9_request(tmp_path):
+    """A request file spooled by 1.9 (its spec carries
+    ``"sim_backend": null``) is served, not rejected as malformed."""
+    jobdir = tmp_path / "jobs"
+    s = ExperimentSpec(mode="cb", steps=3)
+    job_id = submit_job(jobdir, s)
+    path = jobdir / "queue" / f"{job_id}.json"
+    req = json.loads(path.read_text())
+    req["spec"]["sim_backend"] = None
+    path.write_text(json.dumps(req))
+    stats = serve_jobdir(jobdir, once=True)
+    assert stats["executed"] == 1
+    result = wait_result(jobdir, job_id, timeout=5)
+    assert result["status"] == "done"
+    assert result["report"]["spec"] == s.to_dict()
+
+
 def test_filejob_malformed_request_gets_failed_result(tmp_path):
     jobdir = tmp_path / "jobs"
     (jobdir / "queue").mkdir(parents=True)

@@ -128,6 +128,28 @@ def test_recovered_duplicate_records_coalesce(tmp_path):
         svc.shutdown()
 
 
+def test_recovery_replays_a_1_9_journal(tmp_path):
+    """Journals written by 1.9 carry ``"sim_backend": null`` in every
+    accepted spec and keys under the 1.9 salt; a restart after the
+    upgrade recovers them, and a fresh submit of the same spec
+    coalesces with the recovered job instead of running it twice."""
+    journal = JobJournal(tmp_path / "journal.jsonl")
+    s = spec(steps=4)
+    journal.record_accepted(1, "key-from-1.9", dict(s.to_dict(), sim_backend=None))
+    svc = ExperimentService(journal=journal, autostart=False)
+    try:
+        assert svc.metrics_snapshot()["recovered"] == 1
+        (rec, job), = svc.recovered_jobs
+        assert job.spec == s
+        assert svc.submit(s) is job
+        assert svc.drain(timeout=30)
+        assert svc.metrics_snapshot()["executed"] == 1
+        assert canon(job.result(timeout=10)) == canon(Engine().run(s))
+        assert journal.replay().records[1].state == "completed"
+    finally:
+        svc.shutdown()
+
+
 def test_fresh_ids_start_above_replayed_sequences(tmp_path):
     journal = JobJournal(tmp_path / "journal.jsonl")
     journal.record_accepted(7, "k", spec(steps=3).to_dict())

@@ -1,8 +1,4 @@
-"""Unit tests for the discrete-event simulation core.
-
-The whole module runs once per event-queue backend (heap and calendar)
-via the autouse fixture below — the semantics must be identical.
-"""
+"""Unit tests for the discrete-event simulation core."""
 
 import pytest
 
@@ -14,12 +10,13 @@ from repro.sim import (
     Interrupt,
     Simulator,
 )
+from repro.sim.queues import HeapEventQueue, resolve_backend
 
 
-@pytest.fixture(params=["heap", "calendar"], autouse=True)
-def sim_backend(request, monkeypatch):
-    """Run every test in this module under both queue backends."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", request.param)
+@pytest.fixture(params=[resolve_backend()], autouse=True)
+def event_core(request):
+    """Name every test after the event core it runs on: the heap queue."""
+    assert isinstance(Simulator()._queue, HeapEventQueue)
     return request.param
 
 
@@ -458,17 +455,6 @@ def test_empty_queue_is_index_error():
     sim = Simulator()
     with pytest.raises(IndexError):
         sim.peek()
-
-
-def test_backend_attribute_reflects_selection(sim_backend):
-    assert Simulator().backend == sim_backend
-    assert Simulator(backend="heap").backend == "heap"
-    assert Simulator(backend="calendar").backend == "calendar"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        Simulator(backend="wheel")
 
 
 def test_step_batch_processes_cotemporal_events():
